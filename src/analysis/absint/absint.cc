@@ -1,6 +1,6 @@
 #include "analysis/absint/absint.h"
 
-#include <algorithm>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -14,11 +14,9 @@ using term::TermStore;
 namespace {
 
 void AddSeed(const TermStore& store, std::vector<CallKey>* seeds,
-             std::vector<std::string>* seen, const PredId& id,
+             std::unordered_set<std::string>* seen, const PredId& id,
              const Mode& pattern) {
-  std::string key = KeyName(store, id, pattern);
-  if (std::find(seen->begin(), seen->end(), key) != seen->end()) return;
-  seen->push_back(key);
+  if (!seen->insert(KeyName(store, id, pattern)).second) return;
   seeds->push_back(CallKey{id, pattern});
 }
 
@@ -32,7 +30,7 @@ std::vector<CallKey> CollectSeeds(const TermStore& store,
                                   const ModeAnalysis* modes,
                                   const AbsintOptions& opts) {
   std::vector<CallKey> seeds;
-  std::vector<std::string> seen;
+  std::unordered_set<std::string> seen;
   if (modes != nullptr) {
     for (const auto& [id, inputs] : modes->observed_inputs) {
       if (!program.Has(id)) continue;

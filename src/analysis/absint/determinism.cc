@@ -407,16 +407,16 @@ Det DeterminismAnalysis::DetFor(const TermStore& store, const PredId& id,
   if (exact != by_key.end()) return exact->second;
   DetInterval hull{1, 0};  // empty; replaced by the first match
   bool any = false;
-  for (const auto& [key, ck] : keys) {
-    if (!(ck.pred == id)) continue;
+  ForEachKeyOf(keys, store, id, [&](const std::string& key,
+                                    const CallKey& ck) {
     // A summary under pattern p bounds every call at least as bound as p
     // from above (instantiating removes solutions); the lower bound does
     // not transfer.
-    if (!SatisfiesInput(call_mode, ck.pattern)) continue;
+    if (!SatisfiesInput(call_mode, ck.pattern)) return;
     DetInterval iv = Cap0(ToInterval(by_key.at(key)));
     hull = any ? HullInterval(hull, iv) : iv;
     any = true;
-  }
+  });
   return any ? FromInterval(hull) : Det::kNondet;
 }
 

@@ -280,36 +280,34 @@ bool PatternCovers(const Mode& pattern, const Mode& call_mode) {
 
 std::optional<Mode> GroundnessSummaries::SuccessModeFor(
     const TermStore& store, const PredId& id, const Mode& call_mode) const {
-  (void)store;
   // Every covering summary is individually a valid guarantee, so combine
   // them by taking the strongest claim per position ('+'/'-' beat '?';
   // contradictions cannot arise from sound summaries, and if one ever did
   // the position just keeps the first claim).
   std::optional<Mode> best;
-  for (const auto& [key, ck] : keys) {
-    if (!(ck.pred == id)) continue;
-    if (!PatternCovers(ck.pattern, call_mode)) continue;
+  ForEachKeyOf(keys, store, id, [&](const std::string& key,
+                                    const CallKey& ck) {
+    if (!PatternCovers(ck.pattern, call_mode)) return;
     const GroundnessValue& v = by_key.at(key);
-    if (!v.can_succeed) continue;
+    if (!v.can_succeed) return;
     Mode applied = ApplyOutput(call_mode, v.success);
     if (!best.has_value()) {
       best = std::move(applied);
-      continue;
+      return;
     }
     for (size_t i = 0; i < best->size(); ++i) {
       if ((*best)[i] == ModeItem::kAny) (*best)[i] = applied[i];
     }
-  }
+  });
   return best;
 }
 
 std::vector<Mode> GroundnessSummaries::PatternsFor(const TermStore& store,
                                                    const PredId& id) const {
-  (void)store;
   std::vector<Mode> out;
-  for (const auto& [key, ck] : keys) {
-    if (ck.pred == id) out.push_back(ck.pattern);
-  }
+  ForEachKeyOf(keys, store, id, [&](const std::string&, const CallKey& ck) {
+    out.push_back(ck.pattern);
+  });
   return out;
 }
 

@@ -27,12 +27,35 @@ struct CallKey {
   Mode pattern;
 };
 
+/// "aunt/2:": the prefix every canonical key of one predicate starts with.
+inline std::string KeyPrefix(const term::TermStore& store,
+                             const term::PredId& id) {
+  return store.symbols().Name(id.name) + "/" + std::to_string(id.arity) +
+         ":";
+}
+
 /// Canonical memo-table key, e.g. "aunt/2:iu". Doubles as the stable sort
 /// order of every dump, so reports are deterministic across runs and jobs.
 inline std::string KeyName(const term::TermStore& store, const term::PredId& id,
                            const Mode& pattern) {
-  return store.symbols().Name(id.name) + "/" + std::to_string(id.arity) +
-         ":" + ModeSuffix(pattern);
+  return KeyPrefix(store, id) + ModeSuffix(pattern);
+}
+
+/// Calls fn(key, call_key) for each entry of `keys` that belongs to `id`,
+/// in key order. All of a predicate's canonical keys start with its
+/// "name/arity:" prefix, so they form one contiguous range of the ordered
+/// map and the walk costs that range, not the whole table. A predicate
+/// whose quoted name extends the prefix ('a/1:x'/1 next to a/1) lands in
+/// the same range; the pred check skips it.
+template <typename Fn>
+void ForEachKeyOf(const std::map<std::string, CallKey>& keys,
+                  const term::TermStore& store, const term::PredId& id,
+                  Fn&& fn) {
+  const std::string prefix = KeyPrefix(store, id);
+  for (auto it = keys.lower_bound(prefix);
+       it != keys.end() && it->first.starts_with(prefix); ++it) {
+    if (it->second.pred == id) fn(it->first, it->second);
+  }
 }
 
 /// What a Domain's Transfer uses to read callee summaries. Looking a key up

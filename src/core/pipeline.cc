@@ -236,8 +236,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunWhole(
   std::unordered_map<PredId, prore::FaultClass, term::PredIdHash>
       fault_classes;
   for (const PredId& p : preds) {
-    levels[p] = options_.pinned_identity.count(p) > 0 ? LadderLevel::kIdentity
-                                                      : LadderLevel::kFull;
+    const bool pinned = options_.pinned_identity != nullptr &&
+                        options_.pinned_identity->count(p) > 0;
+    levels[p] = pinned ? LadderLevel::kIdentity : LadderLevel::kFull;
     attempts[p] = 1;
   }
 
@@ -280,6 +281,17 @@ prore::Result<PipelineResult> GuardedPipeline::RunWhole(
 
   auto fill_pred_outcomes =
       [&](const std::vector<PredModeReport>* final_reports) {
+        // (clauses_changed, goals_changed) ORed over each predicate's
+        // per-mode reports, folded in one pass.
+        std::unordered_map<PredId, std::pair<bool, bool>, term::PredIdHash>
+            changed;
+        if (final_reports != nullptr) {
+          for (const PredModeReport& r : *final_reports) {
+            auto& c = changed[r.pred];
+            c.first = c.first || r.clauses_changed;
+            c.second = c.second || r.goals_changed;
+          }
+        }
         report.preds.clear();
         for (const PredId& p : preds) {
           PredOutcome o;
@@ -295,13 +307,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunWhole(
               fit->second != prore::FaultClass::kNone) {
             o.fault_class = prore::FaultClassName(fit->second);
           }
-          if (final_reports != nullptr) {
-            for (const PredModeReport& r : *final_reports) {
-              if (r.pred == p) {
-                o.clauses_changed = o.clauses_changed || r.clauses_changed;
-                o.goals_changed = o.goals_changed || r.goals_changed;
-              }
-            }
+          if (auto cit = changed.find(p); cit != changed.end()) {
+            o.clauses_changed = cit->second.first;
+            o.goals_changed = cit->second.second;
           }
           report.preds.push_back(std::move(o));
         }
@@ -515,16 +523,25 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   // whole-program path's fault machinery produces the right fallback.
   auto graph = analysis::CallGraph::Build(*store_, original);
   if (!graph.ok()) return RunWhole(original);
-  auto frozen = FrozenDescendants(*store_, original, *graph);
-  if (!frozen.ok()) return RunWhole(original);
+  auto frozen_or = FrozenDescendants(*store_, original, *graph);
+  if (!frozen_or.ok()) return RunWhole(original);
+  // The whole-program sets every group reads: built once, shared read-only.
+  const auto frozen =
+      std::make_shared<const analysis::PredSet>(std::move(*frozen_or));
   const analysis::DependencyGroups dg =
       analysis::ComputeDependencyGroups(*graph);
   if (dg.size() <= 1) return RunWhole(original);
 
   const std::vector<PredId>& preds = original.pred_order();
-  analysis::PredSet all_preds(preds.begin(), preds.end());
+  const auto all_preds =
+      std::make_shared<const analysis::PredSet>(preds.begin(), preds.end());
   std::unordered_map<PredId, size_t, term::PredIdHash> source_pos;
   for (size_t i = 0; i < preds.size(); ++i) source_pos.emplace(preds[i], i);
+  auto sort_by_source = [&source_pos](std::vector<PredId>* ps) {
+    std::sort(ps->begin(), ps->end(), [&](const PredId& a, const PredId& b) {
+      return source_pos.at(a) < source_pos.at(b);
+    });
+  };
   // "name/arity" -> owning group, to route merged diagnostics.
   std::unordered_map<std::string, size_t> owner_group;
   for (const PredId& p : preds) {
@@ -562,8 +579,8 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   std::vector<reader::Program> hit_programs(dg.size());
   size_t cache_hits = 0, cache_misses = 0, cache_rejected = 0;
   if (options_.cache != nullptr) {
-    hashes = analysis::ComputeContentHashes(*store_, original, dg, &*frozen,
-                                            options_.cache_salt);
+    hashes = analysis::ComputeContentHashes(*store_, original, dg,
+                                            frozen.get(), options_.cache_salt);
     for (size_t gi = 0; gi < dg.size(); ++gi) {
       auto entry = options_.cache->Lookup(hashes.group_hash[gi]);
       if (entry == nullptr) {
@@ -609,9 +626,13 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       for (size_t d : dg.TransitiveDeps(gi)) {
         cone.insert(dg.groups[d].begin(), dg.groups[d].end());
       }
+      // The subprogram is the members plus the cone, in source order.
+      std::vector<PredId> sub_preds(dg.groups[gi].begin(),
+                                    dg.groups[gi].end());
+      sub_preds.insert(sub_preds.end(), cone.begin(), cone.end());
+      sort_by_source(&sub_preds);
       reader::Program sub;
-      for (const PredId& p : preds) {
-        if (gr.members.count(p) == 0 && cone.count(p) == 0) continue;
+      for (const PredId& p : sub_preds) {
         for (const reader::Clause& c : original.ClausesOf(p)) {
           std::unordered_map<uint32_t, term::TermRef> vars;
           reader::Clause copy;
@@ -632,12 +653,13 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       // per-group transform: an inner pipeline that inherited it would
       // route back into RunSharded and recurse without end.
       po.cache = nullptr;
-      po.pinned_identity = std::move(cone);
+      po.pinned_identity =
+          std::make_shared<const analysis::PredSet>(std::move(cone));
       po.exec = group_exec;
       // Cut-freezing flows caller -> callee, so a subprogram cannot see
       // that an outside caller guards a member with a cut; inject the
       // whole-program answer. Version names must be free program-wide.
-      po.reorder.extra_frozen = *frozen;
+      po.reorder.extra_frozen = frozen;
       po.reorder.reserved_preds = all_preds;
       gr.result = GuardedPipeline(&gr.store, std::move(po)).Run(sub);
       if (options_.stop_on_degrade && gr.result.ok() &&
@@ -749,8 +771,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       // well-formed subprogram rules out — but if it happens, land the
       // group on identity so the merged program stays complete.
       std::string why = gr.result.status().ToString();
-      for (const PredId& p : preds) {
-        if (gr.members.count(p) == 0) continue;
+      std::vector<PredId> members(dg.groups[gi].begin(), dg.groups[gi].end());
+      sort_by_source(&members);
+      for (const PredId& p : members) {
         for (const reader::Clause& c : original.ClausesOf(p)) {
           out.program.AddClause(*store_, c);
         }

@@ -1,6 +1,7 @@
 #ifndef PRORE_CORE_PIPELINE_H_
 #define PRORE_CORE_PIPELINE_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,9 +51,10 @@ struct PipelineOptions {
   /// changes wall-clock). jobs=1 runs the same sharded code path inline.
   size_t jobs = 0;
   /// Predicates that enter the degradation ladder at kIdentity and stay
-  /// there: emitted verbatim, never blamed, calls to them never renamed.
-  /// The sharded pipeline pins each group's dependency cone this way.
-  analysis::PredSet pinned_identity;
+  /// there: emitted verbatim, never blamed, calls to them never renamed
+  /// (null = none). The sharded pipeline pins each group's dependency cone
+  /// this way.
+  std::shared_ptr<const analysis::PredSet> pinned_identity;
   /// Run the unfolding pre-pass (prore --unfold).
   bool unfold = false;
   UnfoldOptions unfold_options;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 
 #include "analysis/absint/absint.h"
 #include "analysis/body.h"
@@ -79,6 +80,8 @@ class Pipeline {
                              Version* out);
 
   bool AllowReorder(const PredId& pred) const;
+  /// Position of `pred`'s SCC in the bottom-up order (0 if unknown).
+  size_t RankOf(const PredId& pred) const;
 
   // Phase A: reorder a body tree (no renaming).
   prore::Result<std::unique_ptr<BodyNode>> ReorderNode(const BodyNode& node,
@@ -124,8 +127,21 @@ class Pipeline {
   std::unique_ptr<cost::CostModel> costs_;
   std::unique_ptr<GoalOrderSearch> search_;
 
+  /// A version awaiting its build, ordered by (SCC rank, enqueue
+  /// sequence): lowest rank first, ties in enqueue order.
+  struct Pending {
+    size_t rank;
+    size_t seq;
+    std::string key;
+    bool operator>(const Pending& o) const {
+      return rank != o.rank ? rank > o.rank : seq > o.seq;
+    }
+  };
+
   std::map<std::string, Version> versions_;     // key -> version
-  std::vector<std::string> pending_;            // keys awaiting processing
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
+      pending_;                                 // min-heap of pending keys
+  size_t enqueued_ = 0;                         // next enqueue sequence
   std::unordered_map<PredId, std::vector<std::string>, term::PredIdHash>
       versions_of_;                             // pred -> keys, in order
   std::unordered_map<PredId, size_t, term::PredIdHash> scc_rank_;
@@ -143,7 +159,6 @@ prore::Status Pipeline::Setup() {
                          analysis::AnalyzeFixity(*store_, original_, graph_));
   PRORE_ASSIGN_OR_RETURN(frozen_,
                          FrozenDescendants(*store_, original_, graph_));
-  frozen_.insert(options_.extra_frozen.begin(), options_.extra_frozen.end());
   analysis::InferenceOptions inference_opts = options_.inference;
   inference_opts.exec = options_.exec;
   PRORE_ASSIGN_OR_RETURN(
@@ -190,6 +205,10 @@ prore::Status Pipeline::Setup() {
 bool Pipeline::AllowReorder(const PredId& pred) const {
   if (options_.identity_preds.count(pred) > 0) return false;
   if (frozen_.count(pred) > 0) return false;
+  if (options_.extra_frozen != nullptr &&
+      options_.extra_frozen->count(pred) > 0) {
+    return false;
+  }
   if (fixity_.IsFixed(pred)) return false;
   if (graph_.IsRecursive(pred) &&
       options_.reorder_recursive_only_if_declared &&
@@ -197,6 +216,11 @@ bool Pipeline::AllowReorder(const PredId& pred) const {
     return false;
   }
   return true;
+}
+
+size_t Pipeline::RankOf(const PredId& pred) const {
+  auto it = scc_rank_.find(pred);
+  return it == scc_rank_.end() ? 0 : it->second;
 }
 
 std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
@@ -207,7 +231,8 @@ std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
   auto taken = [&](const std::string& n) {
     PredId id{store_->symbols().Intern(n), pred.arity};
     if (id == pred) return false;
-    return original_.Has(id) || options_.reserved_preds.count(id) > 0;
+    return original_.Has(id) || (options_.reserved_preds != nullptr &&
+                                 options_.reserved_preds->count(id) > 0);
   };
   while (taken(name)) name += "_v";
   std::string key = Key(pred, mode);
@@ -222,7 +247,7 @@ std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
     v.name = name;  // possibly collision-adjusted
     versions_.emplace(key, std::move(v));
     list.push_back(key);
-    pending_.push_back(key);
+    pending_.push(Pending{RankOf(pred), enqueued_++, std::move(key)});
   }
   return name;
 }
@@ -230,16 +255,9 @@ std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
 prore::Status Pipeline::ProcessQueue() {
   while (!pending_.empty()) {
     // Bottom-up: lowest SCC rank first, so callers price reordered callees.
-    size_t best = 0;
-    for (size_t i = 1; i < pending_.size(); ++i) {
-      if (scc_rank_[versions_[pending_[i]].pred] <
-          scc_rank_[versions_[pending_[best]].pred]) {
-        best = i;
-      }
-    }
-    std::string key = pending_[best];
-    pending_.erase(pending_.begin() + best);
-    Version& v = versions_[key];
+    // Building may enqueue more versions, so pop before building.
+    Version& v = versions_.at(pending_.top().key);
+    pending_.pop();
     // Fault boundary: a version build that throws or fails is attributed
     // to its predicate via on_pred_error before the error propagates, so
     // the guarded pipeline (core/pipeline.h) knows whom to quarantine.

@@ -2,6 +2,7 @@
 #define PRORE_CORE_REORDERER_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,19 +76,19 @@ struct ReorderOptions {
   /// clauses bit-for-bit under the original name, never specialized, and
   /// calls to them anywhere are never renamed.
   analysis::PredSet identity_preds;
-  /// Additional predicates to treat as cut-frozen, unioned with the
-  /// FrozenDescendants analysis of the input program. The sharded pipeline
-  /// computes frozen descendants over the WHOLE program and injects them
-  /// here, because the property flows caller -> callee: a per-group
-  /// subprogram cannot see that some outside caller guards a group member
-  /// with a cut.
-  analysis::PredSet extra_frozen;
+  /// Additional predicates to treat as cut-frozen, on top of the
+  /// FrozenDescendants analysis of the input program (null = none). The
+  /// sharded pipeline computes frozen descendants over the WHOLE program
+  /// and injects them here, because the property flows caller -> callee: a
+  /// per-group subprogram cannot see that some outside caller guards a
+  /// group member with a cut. Shared read-only by every group's run.
+  std::shared_ptr<const analysis::PredSet> extra_frozen;
   /// Predicate identities (by name/arity) that exist elsewhere in the full
-  /// program even though this Run's input does not define them. Version
-  /// naming probes these in addition to the input program, so per-group
-  /// shards never mint a version name that collides with another group's
-  /// predicate.
-  analysis::PredSet reserved_preds;
+  /// program even though this Run's input does not define them (null =
+  /// none). Version naming probes these in addition to the input program,
+  /// so per-group shards never mint a version name that collides with
+  /// another group's predicate. Shared read-only by every group's run.
+  std::shared_ptr<const analysis::PredSet> reserved_preds;
   /// Invoked when building a predicate's version fails, just before the
   /// error propagates out of Run — the guarded pipeline uses it to learn
   /// which predicate to quarantine.

@@ -66,6 +66,11 @@ std::optional<OpDef> OpTable::Prefix(std::string_view name) const {
   return it->second;
 }
 
+const OpTable& StandardOps() {
+  static const OpTable kStandard;
+  return kStandard;
+}
+
 bool OpTable::IsOp(std::string_view name) const {
   return infix_.count(std::string(name)) > 0 ||
          prefix_.count(std::string(name)) > 0;

@@ -44,6 +44,11 @@ class OpTable {
   std::unordered_map<std::string, OpDef> prefix_;
 };
 
+/// The standard table, built once on first use and immutable after that,
+/// so any number of threads may read it. Parsers that meet an op/3
+/// directive copy it before adding to it.
+const OpTable& StandardOps();
+
 }  // namespace prore::reader
 
 #endif  // PRORE_READER_OPS_H_

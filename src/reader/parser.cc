@@ -434,30 +434,26 @@ prore::Result<ReadTerm> Parser::ParseTermText(std::string_view text) {
 
 prore::Result<Program> ParseProgramText(term::TermStore* store,
                                         std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &StandardOps());
   return parser.ParseProgram(text);
 }
 
 Program ParseProgramTextRecovering(term::TermStore* store,
                                    std::string_view text,
                                    std::vector<prore::Status>* errors) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &StandardOps());
   return parser.ParseProgramRecovering(text, errors);
 }
 
 prore::Result<ReadTerm> ParseQueryText(term::TermStore* store,
                                        std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &StandardOps());
   return parser.ParseTermText(text);
 }
 
 prore::Result<std::vector<ReadTerm>> ParseTermSequence(
     term::TermStore* store, std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &StandardOps());
   return parser.ParseTermSequenceText(text);
 }
 

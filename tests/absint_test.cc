@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "analysis/absint/absint.h"
 #include "analysis/absint/determinism.h"
@@ -293,6 +294,57 @@ TEST_F(AbsintTest, RepeatedRunsAreBitIdentical) {
   }
   EXPECT_EQ(dumps[0], dumps[1]);
   EXPECT_FALSE(dumps[0].empty());
+}
+
+TEST_F(AbsintTest, LookupsIgnoreAPredicateWhoseNameExtendsTheKeyPrefix) {
+  // The lookups walk only the "a/1:" range of the key-ordered maps. The
+  // quoted 'a/1:x'/1 has keys "a/1:x/1:..." inside that range; they must
+  // be skipped, so every answer for a/1 matches the one from a program
+  // without the intruder (which is what a scan of every key gave).
+  const std::string base = "a(1).\na(2).\n";
+  Load(base);
+  const AbsintResult solo = Run();
+  Load(base + "'a/1:x'(_).\n'a/1:x'(f(_)).\n");
+  const AbsintResult both = Run();
+
+  const PredId a = Id("a", 1);
+  const PredId intruder = Id("a/1:x", 1);
+  bool intruder_in_range = false;
+  for (const auto& [key, ck] : both.groundness.keys) {
+    if (key.starts_with("a/1:") && ck.pred == intruder) {
+      intruder_in_range = true;
+    }
+  }
+  ASSERT_TRUE(intruder_in_range);
+
+  auto patterns = [&](const AbsintResult& r, const PredId& id) {
+    std::vector<std::string> out;
+    for (const Mode& m : r.groundness.PatternsFor(store_, id)) {
+      out.push_back(ModeString(m));
+    }
+    return out;
+  };
+  EXPECT_EQ(patterns(both, a), patterns(solo, a));
+  EXPECT_EQ(patterns(both, a), (std::vector<std::string>{"(+)", "(-)"}));
+  EXPECT_EQ(patterns(both, intruder).size(), 2u);
+
+  for (const char* mode : {"(+)", "(-)", "(?)"}) {
+    EXPECT_EQ(both.determinism.DetFor(store_, a, M(mode)),
+              solo.determinism.DetFor(store_, a, M(mode)))
+        << mode;
+    auto with = both.groundness.SuccessModeFor(store_, a, M(mode));
+    auto without = solo.groundness.SuccessModeFor(store_, a, M(mode));
+    ASSERT_EQ(with.has_value(), without.has_value()) << mode;
+    if (with.has_value()) {
+      EXPECT_EQ(ModeString(*with), ModeString(*without)) << mode;
+    }
+  }
+  // The two predicates differ, so a leak across them would show above.
+  EXPECT_EQ(ModeString(*both.groundness.SuccessModeFor(store_, a, M("(-)"))),
+            "(+)");
+  EXPECT_NE(ModeString(
+                *both.groundness.SuccessModeFor(store_, intruder, M("(-)"))),
+            "(+)");
 }
 
 }  // namespace

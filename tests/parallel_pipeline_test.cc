@@ -2,15 +2,20 @@
 // SCC dependency groups come out in valid topological order, sharded runs
 // are bit-identical to the sequential pipeline for every worker count, and
 // a fault injected into one dependency group quarantines only that group
-// while the rest of the program is optimized at full strength.
+// while the rest of the program is optimized at full strength. A golden
+// test pins the written output of a layered program at jobs=0, 1 and 4.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/callgraph.h"
+#include "analysis/modes.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/pipeline.h"
@@ -255,6 +260,98 @@ TEST(ParallelPipelineTest, FaultQuarantinesOnlyItsGroup) {
 
   // Quarantine preserves semantics: all clusters still answer correctly.
   ExpectSetEquivalent(&store, *program, result->program);
+}
+
+/// splitmix64, so the generated program is the same on every platform.
+uint64_t NextRandom(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// A seeded layered program of 4 * `clusters` predicates: each cluster is
+/// base/left/right/top with a shuffled goal order in top, and every top
+/// above the first layer also calls a random top of the layer below, so
+/// the dependency groups come in several waves.
+std::string LayeredProgram(uint64_t seed, int clusters, int layers) {
+  uint64_t state = seed;
+  const int per_layer = (clusters + layers - 1) / layers;
+  std::ostringstream src;
+  for (int c = 0; c < clusters; ++c) {
+    const std::string id = std::to_string(c);
+    const int facts = 3 + static_cast<int>(NextRandom(&state) % 4);
+    for (int f = 0; f < facts; ++f) {
+      src << "base" << id << "(" << f << ", " << (f + 1) << ").\n";
+    }
+    src << "left" << id << "(X, Y) :- base" << id << "(X, Y).\n";
+    src << "left" << id << "(X, Y) :- base" << id << "(X, Z), base" << id
+        << "(Z, Y).\n";
+    src << "right" << id << "(X, Y) :- base" << id << "(Y, X).\n";
+    std::vector<std::string> goals = {"left" + id + "(X, Z)",
+                                      "right" + id + "(Z, Y)",
+                                      "base" + id + "(X, _)"};
+    if (const int layer = c / per_layer; layer > 0) {
+      const int below = (layer - 1) * per_layer +
+                        static_cast<int>(NextRandom(&state) % per_layer);
+      goals.push_back("top" + std::to_string(below) + "(Y, Y)");
+    }
+    for (size_t i = goals.size(); i > 1; --i) {
+      std::swap(goals[i - 1], goals[NextRandom(&state) % i]);
+    }
+    src << "top" << id << "(X, Y) :- ";
+    for (size_t i = 0; i < goals.size(); ++i) {
+      src << (i ? ", " : "") << goals[i];
+    }
+    src << ".\n";
+  }
+  return src.str();
+}
+
+/// 64-bit FNV-1a: a digest that is stable across compilers and platforms.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The written program followed by the per-version reports in the order
+/// the versions were built, so the digest also pins the build order.
+std::string Rendered(const TermStore& store, const core::PipelineResult& r) {
+  std::string out = reader::WriteProgram(store, r.program);
+  for (const core::PredModeReport& v : r.reports) {
+    out += reader::PredName(store, v.pred) + " " +
+           analysis::ModeString(v.mode) + " " + v.version_name + "\n";
+  }
+  return out;
+}
+
+// Digests of Rendered() for LayeredProgram(7, 75, 5), recorded when the
+// order queue was still a linear scan and every shard copied the
+// whole-program sets. Any change to the order in which versions are built,
+// to the written text, or to what a shard sees changes them.
+constexpr uint64_t kGoldenWhole = 16474549855009735601ull;
+constexpr uint64_t kGoldenSharded = 6864218736105261043ull;
+
+TEST(ParallelPipelineTest, LayeredOutputMatchesGoldenDigests) {
+  const std::string source = LayeredProgram(7, 75, 5);
+  for (size_t jobs : {size_t{0}, size_t{1}, size_t{4}}) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    ASSERT_EQ(program->NumPreds(), 300u);
+    PipelineOptions options;
+    options.jobs = jobs;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->report.degraded()) << "jobs=" << jobs;
+    const uint64_t digest = Fnv1a(Rendered(store, *result));
+    EXPECT_EQ(digest, jobs == 0 ? kGoldenWhole : kGoldenSharded)
+        << "jobs=" << jobs;
+  }
 }
 
 }  // namespace
