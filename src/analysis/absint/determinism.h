@@ -101,7 +101,7 @@ class DeterminismDomain {
   const term::TermStore* store_;
   const reader::Program* program_;
   const GroundnessSummaries* groundness_;
-  BuiltinModes builtin_modes_;
+  const BuiltinModes& builtin_modes_ = BuiltinModes::Standard();
   ModeTable library_modes_;
   std::unordered_map<term::PredId, PredInfo, term::PredIdHash> info_;
 };

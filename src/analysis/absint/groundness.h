@@ -66,7 +66,7 @@ class GroundnessDomain {
 
   const term::TermStore* store_;
   const reader::Program* program_;
-  BuiltinModes builtin_modes_;
+  const BuiltinModes& builtin_modes_ = BuiltinModes::Standard();
   ModeTable library_modes_;
   std::unordered_map<term::PredId, std::vector<std::unique_ptr<BodyNode>>,
                      term::PredIdHash>

@@ -405,7 +405,7 @@ class Inferencer {
   bool stabilizing_ = false;
   prore::Watchdog watchdog_;
   ModeTable library_modes_;
-  BuiltinModes builtin_modes_;
+  const BuiltinModes& builtin_modes_ = BuiltinModes::Standard();
   std::unordered_map<std::string, Record> memo_;
   std::unordered_set<std::string> in_progress_;
 };

@@ -113,7 +113,7 @@ class LegalityOracle {
   const reader::Program* program_;
   const CallGraph* graph_;
   const ModeAnalysis* analysis_;
-  BuiltinModes builtin_modes_;
+  const BuiltinModes& builtin_modes_ = BuiltinModes::Standard();
   std::unordered_map<std::string, Entry> memo_;
   std::unordered_set<std::string> in_progress_;
 };

@@ -264,6 +264,11 @@ BuiltinModes::BuiltinModes() {
   Add("succ", 2, "(?,+)", "(+,+)");
 }
 
+const BuiltinModes& BuiltinModes::Standard() {
+  static const BuiltinModes kStandard;
+  return kStandard;
+}
+
 const std::vector<ModePair>& BuiltinModes::PairsFor(const std::string& name,
                                                     uint32_t arity) const {
   static const auto& kEmpty = *new std::vector<ModePair>();

@@ -96,7 +96,9 @@ class ModeTable {
 /// returning (?).
 class BuiltinModes {
  public:
-  BuiltinModes();
+  /// The one table, built on first use and immutable after that, so any
+  /// number of threads and analyses may read it.
+  static const BuiltinModes& Standard();
 
   /// Legal pairs for a built-in; empty vector if the built-in is unknown
   /// (treated as demanding nothing).
@@ -109,6 +111,8 @@ class BuiltinModes {
                                 const Mode& call_mode) const;
 
  private:
+  BuiltinModes();
+
   void Add(const std::string& name, uint32_t arity, const std::string& input,
            const std::string& output);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/content_hash.h"
+#include "common/json.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "core/restrictions.h"
@@ -29,40 +30,6 @@ const char* LadderLevelName(LadderLevel level) {
   }
   return "unknown";
 }
-
-namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += prore::StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 bool PipelineReport::degraded() const {
   if (unfold_disabled || factor_disabled || absint_disabled ||
@@ -120,31 +87,31 @@ std::string PipelineReport::ToJson() const {
       "{\"runs\":%d,\"degraded\":%s,\"quarantined\":%zu", runs,
       degraded() ? "true" : "false", quarantined());
   out += ",\"global_trigger\":";
-  AppendJsonString(&out, global_trigger);
+  prore::AppendJsonEscaped(&out, global_trigger);
   out += prore::StrFormat(",\"unfold_disabled\":%s",
                           unfold_disabled ? "true" : "false");
   out += ",\"unfold_trigger\":";
-  AppendJsonString(&out, unfold_trigger);
+  prore::AppendJsonEscaped(&out, unfold_trigger);
   out += prore::StrFormat(",\"factor_disabled\":%s",
                           factor_disabled ? "true" : "false");
   out += ",\"factor_trigger\":";
-  AppendJsonString(&out, factor_trigger);
+  prore::AppendJsonEscaped(&out, factor_trigger);
   out += prore::StrFormat(",\"absint_disabled\":%s",
                           absint_disabled ? "true" : "false");
   out += ",\"absint_trigger\":";
-  AppendJsonString(&out, absint_trigger);
+  prore::AppendJsonEscaped(&out, absint_trigger);
   out += ",\"preds\":[";
   for (size_t i = 0; i < preds.size(); ++i) {
     const PredOutcome& p = preds[i];
     if (i) out += ",";
     out += "{\"pred\":";
-    AppendJsonString(&out, p.name);
+    prore::AppendJsonEscaped(&out, p.name);
     out += ",\"level\":";
-    AppendJsonString(&out, LadderLevelName(p.level));
+    prore::AppendJsonEscaped(&out, LadderLevelName(p.level));
     out += prore::StrFormat(
         ",\"attempts\":%d,\"retries\":%d,\"fault_class\":", p.attempts,
         p.retries);
-    AppendJsonString(&out, p.fault_class);
+    prore::AppendJsonEscaped(&out, p.fault_class);
     out += prore::StrFormat(
         ",\"clauses_changed\":%s,\"goals_changed\":%s",
         p.clauses_changed ? "true" : "false",
@@ -152,7 +119,7 @@ std::string PipelineReport::ToJson() const {
     out += ",\"triggers\":[";
     for (size_t j = 0; j < p.triggers.size(); ++j) {
       if (j) out += ",";
-      AppendJsonString(&out, p.triggers[j]);
+      prore::AppendJsonEscaped(&out, p.triggers[j]);
     }
     out += "]}";
   }
@@ -549,7 +516,10 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   }
 
   struct GroupRun {
-    term::TermStore store;  ///< private arena; symbols adopted from main
+    term::TermStore store;  ///< private arena; symbols borrowed from main
+    /// The result's terms live in the main store, not `store`: the group
+    /// was skipped past the deadline and its program is the original's.
+    bool in_main_store = false;
     /// Non-ok until the task actually runs: a task dropped by
     /// cancellation (or lost to a worker exception) must land its group
     /// on the identity merge path, not silently contribute an empty
@@ -612,56 +582,89 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       options_.exec.WithToken(group_cancel.token());
 
   // One task per group. Each task owns a private TermStore whose symbol
-  // table is a copy of the main one (so PredIds carry over), copies its
-  // dependency cone in, and runs the complete whole-program pipeline over
-  // that subprogram with the cone pinned to identity. Groups share nothing
-  // mutable: watchdog deadlines, fault boundaries and the degradation
-  // ladder all live inside the task.
+  // table borrows the main one (so PredIds carry over and the group keeps
+  // only the names it mints), copies its dependency cone in, and runs the
+  // complete whole-program pipeline over that subprogram with the cone
+  // pinned to identity. Groups share nothing mutable: watchdog deadlines,
+  // fault boundaries and the degradation ladder all live inside the task.
+  // The main store is read-only while tasks run: cache hits were adopted
+  // above, before the pool starts, and only the merge interns into it.
+  auto transform_group = [&](size_t gi) -> prore::Result<PipelineResult> {
+    GroupRun& gr = runs[gi];
+    gr.store.AdoptSymbols(*store_);
+    analysis::PredSet cone;
+    for (size_t d : dg.TransitiveDeps(gi)) {
+      cone.insert(dg.groups[d].begin(), dg.groups[d].end());
+    }
+    // The subprogram is the members plus the cone, in source order.
+    std::vector<PredId> sub_preds(dg.groups[gi].begin(), dg.groups[gi].end());
+    sub_preds.insert(sub_preds.end(), cone.begin(), cone.end());
+    sort_by_source(&sub_preds);
+    reader::Program sub;
+    for (const PredId& p : sub_preds) {
+      for (const reader::Clause& c : original.ClausesOf(p)) {
+        std::unordered_map<uint32_t, term::TermRef> vars;
+        reader::Clause copy;
+        copy.head = gr.store.CopyFrom(*store_, c.head, &vars);
+        copy.body = gr.store.CopyFrom(*store_, c.body, &vars);
+        sub.AddClause(gr.store, copy);
+      }
+    }
+    // Declarations (legal modes etc.) may concern any predicate; copy
+    // them all and let each group pick out what it needs.
+    for (term::TermRef d : original.directives()) {
+      sub.AddDirective(gr.store.CopyFrom(*store_, d));
+    }
+
+    PipelineOptions po = options_;
+    po.jobs = 0;
+    // The cache is a property of the sharded orchestration, not of the
+    // per-group transform: an inner pipeline that inherited it would
+    // route back into RunSharded and recurse without end.
+    po.cache = nullptr;
+    po.pinned_identity =
+        std::make_shared<const analysis::PredSet>(std::move(cone));
+    po.exec = group_exec;
+    // Cut-freezing flows caller -> callee, so a subprogram cannot see
+    // that an outside caller guards a member with a cut; inject the
+    // whole-program answer. Version names must be free program-wide.
+    po.reorder.extra_frozen = frozen;
+    po.reorder.reserved_preds = all_preds;
+    return GuardedPipeline(&gr.store, std::move(po)).Run(sub);
+  };
+
+  // What the inner pipeline returns when its first check of the context
+  // fails: the members unchanged, each at identity after one attempt, with
+  // the context status as the global trigger. A group past the deadline
+  // gets this without borrowing symbols or copying its cone.
+  auto skip_group = [&](size_t gi, std::string why) {
+    std::vector<PredId> members(dg.groups[gi].begin(), dg.groups[gi].end());
+    sort_by_source(&members);
+    PipelineResult skipped;  // report.runs is 1
+    skipped.report.global_trigger = std::move(why);
+    for (const PredId& p : members) {
+      for (const reader::Clause& c : original.ClausesOf(p)) {
+        skipped.program.AddClause(*store_, c);
+      }
+      PredOutcome o;
+      o.pred = p;
+      o.name = reader::PredName(*store_, p);
+      o.level = LadderLevel::kIdentity;
+      skipped.report.preds.push_back(std::move(o));
+    }
+    return skipped;
+  };
+
   auto run_group = [&](size_t gi) {
     GroupRun& gr = runs[gi];
     if (group_cancel.Cancelled()) return;  // keep the never-ran status
     try {
-      gr.store.AdoptSymbols(*store_);
-      analysis::PredSet cone;
-      for (size_t d : dg.TransitiveDeps(gi)) {
-        cone.insert(dg.groups[d].begin(), dg.groups[d].end());
+      if (prore::Status ctx = group_exec.Check(); ctx.ok()) {
+        gr.result = transform_group(gi);
+      } else {
+        gr.result = skip_group(gi, ctx.ToString());
+        gr.in_main_store = true;
       }
-      // The subprogram is the members plus the cone, in source order.
-      std::vector<PredId> sub_preds(dg.groups[gi].begin(),
-                                    dg.groups[gi].end());
-      sub_preds.insert(sub_preds.end(), cone.begin(), cone.end());
-      sort_by_source(&sub_preds);
-      reader::Program sub;
-      for (const PredId& p : sub_preds) {
-        for (const reader::Clause& c : original.ClausesOf(p)) {
-          std::unordered_map<uint32_t, term::TermRef> vars;
-          reader::Clause copy;
-          copy.head = gr.store.CopyFrom(*store_, c.head, &vars);
-          copy.body = gr.store.CopyFrom(*store_, c.body, &vars);
-          sub.AddClause(gr.store, copy);
-        }
-      }
-      // Declarations (legal modes etc.) may concern any predicate; copy
-      // them all and let each group pick out what it needs.
-      for (term::TermRef d : original.directives()) {
-        sub.AddDirective(gr.store.CopyFrom(*store_, d));
-      }
-
-      PipelineOptions po = options_;
-      po.jobs = 0;
-      // The cache is a property of the sharded orchestration, not of the
-      // per-group transform: an inner pipeline that inherited it would
-      // route back into RunSharded and recurse without end.
-      po.cache = nullptr;
-      po.pinned_identity =
-          std::make_shared<const analysis::PredSet>(std::move(cone));
-      po.exec = group_exec;
-      // Cut-freezing flows caller -> callee, so a subprogram cannot see
-      // that an outside caller guards a member with a cut; inject the
-      // whole-program answer. Version names must be free program-wide.
-      po.reorder.extra_frozen = frozen;
-      po.reorder.reserved_preds = all_preds;
-      gr.result = GuardedPipeline(&gr.store, std::move(po)).Run(sub);
       if (options_.stop_on_degrade && gr.result.ok() &&
           gr.result->report.degraded()) {
         group_cancel.RequestCancel(prore::StrFormat(
@@ -793,6 +796,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     }
 
     PipelineResult& pr = *gr.result;
+    const term::TermStore& src = gr.in_main_store ? *store_ : gr.store;
     rep.runs = std::max(rep.runs, pr.report.runs);
     if (pr.report.unfold_disabled && !rep.unfold_disabled) {
       rep.unfold_disabled = true;
@@ -834,8 +838,8 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       for (const reader::Clause& c : pr.program.ClausesOf(p)) {
         std::unordered_map<uint32_t, term::TermRef> vars;
         reader::Clause copy;
-        copy.head = store_->CopyFrom(gr.store, c.head, &vars);
-        copy.body = store_->CopyFrom(gr.store, c.body, &vars);
+        copy.head = store_->CopyFrom(src, c.head, &vars);
+        copy.body = store_->CopyFrom(src, c.body, &vars);
         out.program.AddClause(*store_, copy);
         if (cacheable) {
           // Rendered from the MAIN-store copy, after the same CopyFrom the

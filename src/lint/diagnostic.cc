@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <tuple>
 
+#include "common/json.h"
 #include "common/str_util.h"
 
 namespace prore::lint {
@@ -38,51 +39,17 @@ std::string Diagnostic::ToString() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += prore::StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string Diagnostic::ToJson() const {
   std::string out = "{\"code\":";
-  AppendJsonString(&out, code);
+  AppendJsonEscaped(&out, code);
   out += ",\"severity\":";
-  AppendJsonString(&out, SeverityName(severity));
+  AppendJsonEscaped(&out, SeverityName(severity));
   out += prore::StrFormat(",\"line\":%d,\"column\":%d", span.line,
                           span.column);
   out += ",\"pred\":";
-  AppendJsonString(&out, pred);
+  AppendJsonEscaped(&out, pred);
   out += ",\"message\":";
-  AppendJsonString(&out, message);
+  AppendJsonEscaped(&out, message);
   out += "}";
   return out;
 }
@@ -122,7 +89,7 @@ std::string RenderText(const std::vector<Diagnostic>& diags,
 std::string RenderJson(const std::vector<Diagnostic>& diags,
                        std::string_view file) {
   std::string out = "{\"file\":";
-  AppendJsonString(&out, file);
+  AppendJsonEscaped(&out, file);
   out += ",\"diagnostics\":[";
   for (size_t i = 0; i < diags.size(); ++i) {
     if (i) out += ",";
@@ -160,16 +127,16 @@ std::string RenderSarif(
       first_result = false;
       size_t idx = rule_index(d.code);
       results += "{\"ruleId\":";
-      AppendJsonString(&results, d.code);
+      AppendJsonEscaped(&results, d.code);
       results += prore::StrFormat(",\"ruleIndex\":%zu,\"level\":", idx);
-      AppendJsonString(&results, SeverityName(d.severity));
+      AppendJsonEscaped(&results, SeverityName(d.severity));
       results += ",\"message\":{\"text\":";
       std::string text = d.message;
       if (!d.pred.empty()) text += " [" + d.pred + "]";
-      AppendJsonString(&results, text);
+      AppendJsonEscaped(&results, text);
       results += "},\"locations\":[{\"physicalLocation\":{"
                  "\"artifactLocation\":{\"uri\":";
-      AppendJsonString(&results, file);
+      AppendJsonEscaped(&results, file);
       // SARIF regions are 1-based; clamp unknown spans (line 0) to 1.
       results += prore::StrFormat(
           "},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}",
@@ -186,7 +153,7 @@ std::string RenderSarif(
   for (size_t i = 0; i < rules.size(); ++i) {
     if (i) out += ",";
     out += "{\"id\":";
-    AppendJsonString(&out, rules[i]);
+    AppendJsonEscaped(&out, rules[i]);
     out += "}";
   }
   out += "]}},\"results\":[";

@@ -172,13 +172,14 @@ class TermStore {
   /// clones the frozen snapshot arena as its private, bindable heap.
   void CloneFrom(const TermStore& src);
 
-  /// Seeds this (empty) store's symbol table with a copy of `src`'s, so
-  /// Symbols and PredIds are interchangeable between the two stores without
-  /// copying any term cells. The per-group pipeline workers use this:
-  /// predicate sets computed on the shared store stay valid in the worker's.
-  void AdoptSymbols(const TermStore& src) {
-    symbols_.CloneFrom(src.symbols_);
-  }
+  /// Makes this (empty) store's symbol table borrow `src`'s (see
+  /// SymbolTable::Borrow), so Symbols and PredIds are interchangeable
+  /// between the two stores without copying any term cells or names. The
+  /// per-group pipeline workers use this: predicate sets computed on the
+  /// shared store stay valid in the worker's. `src` must outlive this store
+  /// and must not intern while a worker reads it; interning into it later
+  /// (the merge does) is safe, since ids this store has seen never change.
+  void AdoptSymbols(const TermStore& src) { symbols_.Borrow(src.symbols_); }
 
   /// Copies `t` (a term of `src`, dereferenced on the fly) into this store.
   /// Symbols are re-interned by name, so the stores need not agree on ids.

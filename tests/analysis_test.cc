@@ -366,7 +366,7 @@ TEST(ModeTest, ModeTableMergeAndLookup) {
 }
 
 TEST(ModeTest, BuiltinModesDemands) {
-  BuiltinModes bm;
+  const BuiltinModes& bm = BuiltinModes::Standard();
   EXPECT_TRUE(bm.IsLegalCall("is", 2, std::move(ModeFromString("(-,+)")).value()));
   EXPECT_FALSE(bm.IsLegalCall("is", 2, std::move(ModeFromString("(-,-)")).value()));
   EXPECT_FALSE(bm.IsLegalCall("<", 2, std::move(ModeFromString("(+,-)")).value()));

@@ -3,11 +3,13 @@
 // are bit-identical to the sequential pipeline for every worker count, and
 // a fault injected into one dependency group quarantines only that group
 // while the rest of the program is optimized at full strength. A golden
-// test pins the written output of a layered program at jobs=0, 1 and 4.
+// test pins the written output of a layered program at jobs=0, 1 and 4,
+// another what a sharded run past its deadline writes and reports.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "analysis/callgraph.h"
 #include "analysis/modes.h"
+#include "common/cancellation.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/pipeline.h"
@@ -352,6 +355,77 @@ TEST(ParallelPipelineTest, LayeredOutputMatchesGoldenDigests) {
     EXPECT_EQ(digest, jobs == 0 ? kGoldenWhole : kGoldenSharded)
         << "jobs=" << jobs;
   }
+}
+
+// report.ToJson() and the output digest of the run below, recorded when a
+// group past the deadline still set up its store (a copy of the symbol
+// table and of its cone) and only then met the deadline in its own
+// pipeline. Skipping that set-up must not change what the run reports or
+// writes.
+constexpr char kExpiredDeadlineReport[] =
+    "{\"runs\":1,\"degraded\":true,\"quarantined\":12,"
+    "\"global_trigger\":\"group 0: ResourceExhausted: deadline exceeded\","
+    "\"unfold_disabled\":false,\"unfold_trigger\":\"\","
+    "\"factor_disabled\":false,\"factor_trigger\":\"\","
+    "\"absint_disabled\":false,\"absint_trigger\":\"\",\"preds\":["
+    "{\"pred\":\"base0/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"left0/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"right0/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"top0/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"base1/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"left1/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"right1/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"top1/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"base2/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"left2/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"right2/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}"
+    ",{\"pred\":\"top2/2\",\"level\":\"identity\",\"attempts\":1,"
+    "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
+    "\"goals_changed\":false,\"triggers\":[]}]}";
+constexpr uint64_t kExpiredDeadlineDigest = 7815415177444079671ull;
+
+TEST(ParallelPipelineTest, ExpiredDeadlineShipsIdentityWithUnchangedReport) {
+  const std::string source = LayeredProgram(13, 3, 3);
+  TermStore store;
+  auto program = reader::ParseProgramText(&store, source);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  PipelineOptions options;
+  options.jobs = 1;
+  options.exec.deadline = Deadline::AfterMs(0);
+  auto result = GuardedPipeline(&store, options).Run(*program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // The identity program: the original text, up to the numbering of the
+  // anonymous variables the copies renew.
+  const std::regex anon("_G[0-9]+");
+  const std::string written = reader::WriteProgram(store, result->program);
+  EXPECT_EQ(std::regex_replace(written, anon, "_"),
+            std::regex_replace(reader::WriteProgram(store, *program), anon,
+                               "_"));
+  EXPECT_EQ(result->report.ToJson(), kExpiredDeadlineReport);
+  EXPECT_EQ(Fnv1a(written), kExpiredDeadlineDigest);
 }
 
 }  // namespace
