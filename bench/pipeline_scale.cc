@@ -13,6 +13,11 @@
 // over the runs that finished without a fallback).
 // Runs carry the 30 s deadline prored applies by default, so a size that
 // prored could not reorder in time shows up as an identity fallback. The
+// row also records prored's warm-cache case at 200 and 1000 predicates: a
+// cold jobs=1 run that fills an analysis cache, then a second run over the
+// same source, each in a fresh store as prored parses every request, with
+// both times, the groups the second run adopted, the hits it rejected and
+// whether it wrote the cold run's text byte for byte. The
 // row, labelled with --label and recorded with the host's hw_threads,
 // build type and compiler, replaces the row of the same label under the
 // "pipeline_sweep" key and keeps rows with other labels (a before/after
@@ -41,6 +46,7 @@
 #include "bench/parallel_json.h"
 #include "common/cancellation.h"
 #include "common/thread_pool.h"
+#include "core/analysis_cache.h"
 #include "core/pipeline.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
@@ -229,6 +235,63 @@ double GrowthExponent(const std::vector<SweepRun>& runs, size_t jobs) {
   return n < 2 || den == 0 ? 0.0 : (n * sxy - sx * sy) / den;
 }
 
+struct WarmCacheRun {
+  int preds = 0;
+  size_t groups = 0;
+  double cold_ms = 0.0;
+  double warm_ms = 0.0;
+  size_t hits = 0;
+  size_t rejected = 0;
+  bool same_text = false;
+};
+
+/// Cold, then warm over one cache; false if a run failed.
+bool MeasureWarmCache(int preds, WarmCacheRun* out) {
+  const std::string source = LayeredProgram(preds, 1);
+  prore::core::AnalysisCache cache;
+  std::string text[2];
+  double ms[2] = {0.0, 0.0};
+  for (int run = 0; run < 2; ++run) {
+    prore::term::TermStore store;
+    auto program = prore::reader::ParseProgramText(&store, source);
+    if (!program.ok()) {
+      std::fprintf(stderr, "parse: %s\n",
+                   program.status().ToString().c_str());
+      return false;
+    }
+    prore::core::PipelineOptions opts;
+    opts.jobs = 1;
+    opts.cache = &cache;
+    opts.exec.deadline = prore::Deadline::AfterMs(kServerDeadlineMs);
+    auto t0 = std::chrono::steady_clock::now();
+    auto result = prore::core::GuardedPipeline(&store, opts).Run(*program);
+    auto t1 = std::chrono::steady_clock::now();
+    if (!result.ok()) {
+      std::fprintf(stderr, "preds=%d cached run: %s\n", preds,
+                   result.status().ToString().c_str());
+      return false;
+    }
+    ms[run] = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    text[run] = prore::reader::WriteProgram(store, result->program);
+    if (run == 0) {
+      out->groups = result->report.cache_misses;
+    } else {
+      out->hits = result->report.cache_hits;
+      out->rejected = result->report.cache_rejected;
+    }
+  }
+  out->preds = preds;
+  out->same_text = text[1] == text[0];
+  out->cold_ms = ms[0];
+  out->warm_ms = ms[1];
+  std::printf("warm cache preds=%d: cold %.1f ms, warm %.1f ms, %zu/%zu "
+              "groups adopted, %zu rejected, %s text\n",
+              preds, ms[0], ms[1], out->hits, out->groups, out->rejected,
+              out->same_text ? "same" : "DIFFERENT");
+  std::fflush(stdout);
+  return true;
+}
+
 int RunSweep(const char* out_path, const std::string& label, int max_preds,
              const std::vector<size_t>& jobs_list) {
   const int sizes[] = {500, 1000, 2000, 4000, 8000};
@@ -267,6 +330,14 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
     }
   }
 
+  std::vector<WarmCacheRun> warm_runs;
+  for (int preds : {200, 1000}) {
+    if (preds > max_preds) break;
+    WarmCacheRun w;
+    if (!MeasureWarmCache(preds, &w)) return 1;
+    warm_runs.push_back(w);
+  }
+
   std::string row = "{\"label\": \"" + label + "\", \"host\": {";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -291,6 +362,17 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
                   "\"identity_fallback\": %s}",
                   i ? ", " : "", runs[i].preds, runs[i].jobs, runs[i].ms,
                   runs[i].identity_fallback ? "true" : "false");
+    row += buf;
+  }
+  row += "], \"warm_cache\": [";
+  for (size_t i = 0; i < warm_runs.size(); ++i) {
+    const WarmCacheRun& w = warm_runs[i];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"preds\": %d, \"jobs\": 1, \"groups\": %zu, "
+                  "\"cold_ms\": %.1f, \"warm_ms\": %.1f, \"hits\": %zu, "
+                  "\"rejected\": %zu, \"same_text\": %s}",
+                  i ? ", " : "", w.preds, w.groups, w.cold_ms, w.warm_ms,
+                  w.hits, w.rejected, w.same_text ? "true" : "false");
     row += buf;
   }
   row += "]}";

@@ -21,7 +21,16 @@ namespace prore::core {
 /// Symbol ids) differ. The canonical writer/parser round-trip is a fixed
 /// point (variables re-render under their parsed names), which is what
 /// makes a cache-hit merge bit-identical to the cold run that produced the
-/// entry.
+/// entry. The round-trip does rename one kind of variable: an unnamed one
+/// (source `_`) is written `_G<var_id>` and re-read as a variable of that
+/// name. Such variables are singletons, and the re-validation of a hit
+/// (PL101) compares clauses up to renaming of singletons, so the renamed
+/// entry still matches the original clauses it was made from.
+///
+/// An entry carries what a reply needs and nothing more: no abstract-
+/// interpretation dump (PipelineResult::absint_report gets no section for
+/// a replayed group; the only reader of that dump, `prore --report`, runs
+/// without a cache).
 ///
 /// Only clean groups are cached: a group that degraded, tripped a
 /// watchdog, or disabled a stage recomputes every time — caching a
@@ -61,10 +70,6 @@ struct GroupCacheEntry {
   /// Diagnostics attributed to owned predicates (notes/warnings only —
   /// error findings would have quarantined the group, which is not cached).
   std::vector<lint::Diagnostic> diagnostics;
-
-  /// Per-group absint dump, without the "== group N ==" header (group
-  /// numbering belongs to the current run, not the entry).
-  std::string absint_report;
 
   /// Whole-group pipeline attempts recorded by the producing run.
   int runs = 1;

@@ -139,7 +139,10 @@ bool GuardedPipeline::TryAdoptCachedGroup(
   // and is emitted by its own groups). Mode/oracle checks need the
   // producing run's analyses and are skipped; PL101 (clause preservation),
   // PL102 (dispatcher shape) and PL103 (coverage) catch any torn,
-  // truncated, or cross-wired entry.
+  // truncated, or cross-wired entry. The parsed text names the unnamed
+  // variables of the cold run `_G<n>`; PL101 compares up to renaming of
+  // singleton variables, so a faithful entry passes while a variable that
+  // became shared, or a shared one that was split, still fails.
   reader::Program orig_sub;
   for (const PredId& p : members) {
     for (const reader::Clause& c : original.ClausesOf(p)) {
@@ -750,10 +753,6 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       for (const lint::Diagnostic& d : e.diagnostics) {
         out.diagnostics.push_back(d);
       }
-      if (!e.absint_report.empty()) {
-        out.absint_report +=
-            prore::StrFormat("== group %zu ==\n", gi) + e.absint_report;
-      }
       for (const GroupCacheEntry::Outcome& oe : e.outcomes) {
         PredOutcome o;
         o.pred = PredId{store_->symbols().Intern(oe.pred_name), oe.arity};
@@ -875,7 +874,6 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     if (!pr.absint_report.empty()) {
       out.absint_report +=
           prore::StrFormat("== group %zu ==\n", gi) + pr.absint_report;
-      if (cacheable) entry.absint_report = pr.absint_report;
     }
     for (const PredOutcome& o : pr.report.preds) {
       if (dg.group_of.count(o.pred) > 0 && dg.group_of.at(o.pred) == gi) {

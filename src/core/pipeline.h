@@ -182,7 +182,8 @@ struct PipelineResult {
   /// findings have been consumed as quarantine triggers by then).
   std::vector<lint::Diagnostic> diagnostics;
   /// DumpAbsint text from the final run (sharded: per-group sections, in
-  /// deterministic merge order). Empty when absint was off or disabled.
+  /// deterministic merge order; a group replayed from the analysis cache
+  /// adds none). Empty when absint was off or disabled.
   std::string absint_report;
   PipelineReport report;
 };

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -106,16 +107,118 @@ class Validator {
 
   // ---- Structural helpers --------------------------------------------------
 
+  /// Variables that occur exactly once in one compared part of a clause.
+  /// PL101 writes them as `_` in its keys: a singleton's name carries no
+  /// meaning, and re-reading written text renames the unnamed ones (the
+  /// writer renders them `_G<var_id>`, and var ids belong to the store).
+  using Singletons = std::unordered_set<TermRef>;
+  using VarCounts = std::unordered_map<TermRef, int>;
+
+  void CountVars(TermRef t, VarCounts* counts) const {
+    std::vector<TermRef> stack{t};
+    while (!stack.empty()) {
+      TermRef u = store_->Deref(stack.back());
+      stack.pop_back();
+      if (store_->tag(u) == Tag::kVar) {
+        ++(*counts)[u];
+      } else if (store_->tag(u) == Tag::kStruct) {
+        for (uint32_t i = 0; i < store_->arity(u); ++i) {
+          stack.push_back(store_->arg(u, i));
+        }
+      }
+    }
+  }
+
+  /// Counts the variable occurrences of a body tree: leaves and the
+  /// set-predicate and catch/3 wrappers hold their whole term as `goal`.
+  void CountVars(const BodyNode& node, VarCounts* counts) const {
+    switch (node.kind) {
+      case BodyKind::kCall:
+      case BodyKind::kSetPred:
+      case BodyKind::kCatch:
+        CountVars(node.goal, counts);
+        return;
+      default:
+        for (const auto& child : node.children) CountVars(*child, counts);
+        return;
+    }
+  }
+
+  /// The singletons of one compared part: a head plus one body. A guarded
+  /// clause is two parts (head + normal branch, head + optimistic branch),
+  /// never one: the branches share goal terms, so counting over both would
+  /// make every singleton look shared.
+  Singletons SingletonsOf(TermRef head, const BodyNode& body) const {
+    VarCounts counts;
+    CountVars(head, &counts);
+    CountVars(body, &counts);
+    Singletons singles;
+    for (const auto& [var, n] : counts) {
+      if (n == 1) singles.insert(var);
+    }
+    return singles;
+  }
+
+  /// Appends a canonical form of `t`: `_` for a variable in `singles`, the
+  /// writer's text for other variables and for numbers, and symbol ids for
+  /// atoms and functors (keys only ever meet keys of the same store, so an
+  /// id is as exact as a name and needs no quoting).
+  void AppendKey(TermRef t, const Singletons& singles,
+                 std::string* out) const {
+    // A compound's last argument is written by the loop, not by recursion,
+    // so a long list costs no stack; `open` counts the parentheses owed.
+    size_t open = 0;
+    for (t = store_->Deref(t); store_->tag(t) == Tag::kStruct;
+         t = store_->Deref(store_->arg(t, store_->arity(t) - 1))) {
+      const uint32_t n = store_->arity(t);
+      out->append(prore::StrFormat("f%u/%u(", store_->symbol(t), n));
+      for (uint32_t i = 0; i + 1 < n; ++i) {
+        AppendKey(store_->arg(t, i), singles, out);
+        out->push_back(',');
+      }
+      ++open;
+    }
+    switch (store_->tag(t)) {
+      case Tag::kVar:
+        if (singles.count(t) > 0) {
+          out->push_back('_');
+        } else {
+          out->append(reader::WriteTerm(*store_, t));
+        }
+        break;
+      case Tag::kInt:
+        out->push_back('i');
+        out->append(std::to_string(store_->int_value(t)));
+        break;
+      case Tag::kFloat:
+        out->push_back('d');
+        out->append(reader::WriteTerm(*store_, t));
+        break;
+      case Tag::kAtom:
+        out->push_back('a');
+        out->append(std::to_string(store_->symbol(t)));
+        break;
+      case Tag::kStruct:
+        break;  // unreachable: the loop above consumed compounds
+    }
+    out->append(open, ')');
+  }
+
   /// A renaming-insensitive key for one goal: the original predicate name
-  /// plus the written arguments. Emitted goals reuse the original argument
-  /// TermRefs, so equal goals render equally.
-  std::string GoalKey(TermRef goal) const {
+  /// plus the argument keys. Emitted goals reuse the original argument
+  /// TermRefs, so equal goals key equally; a re-parsed copy does too, as
+  /// long as its variables keep their names or stay singletons.
+  std::string GoalKey(TermRef goal, const Singletons& singles) const {
     TermRef g = store_->Deref(goal);
-    if (!store_->IsCallable(g)) return reader::WriteTerm(*store_, g);
-    std::string key = NameOf(MapCallee(store_->pred_id(g)));
+    std::string key;
+    if (!store_->IsCallable(g)) {
+      AppendKey(g, singles, &key);
+      return key;
+    }
+    key = NameOf(MapCallee(store_->pred_id(g)));
     for (uint32_t i = 0; i < store_->arity(g); ++i) {
       key += "|";
-      key += reader::WriteTerm(*store_, store_->arg(g, i));
+      AppendKey(store_->arg(g, i), singles, &key);
     }
     return key;
   }
@@ -123,24 +226,25 @@ class Validator {
   /// Collects goal keys in execution order. Set-predicates contribute one
   /// key from their outer arguments (their inner conjunction may be
   /// legitimately reordered) plus the inner calls.
-  void CollectKeys(const BodyNode& node, std::vector<std::string>* out) const {
+  void CollectKeys(const BodyNode& node, const Singletons& singles,
+                   std::vector<std::string>* out) const {
     switch (node.kind) {
       case BodyKind::kTrue:
       case BodyKind::kFail:
       case BodyKind::kCut:
         return;
       case BodyKind::kCall:
-        out->push_back(GoalKey(node.goal));
+        out->push_back(GoalKey(node.goal, singles));
         return;
       case BodyKind::kSetPred: {
         TermRef g = store_->Deref(node.goal);
         std::string key = NameOf(store_->pred_id(g));
         key += '|';
-        key += reader::WriteTerm(*store_, store_->arg(g, 0));
+        AppendKey(store_->arg(g, 0), singles, &key);
         key += '|';
-        key += reader::WriteTerm(*store_, store_->arg(g, 2));
+        AppendKey(store_->arg(g, 2), singles, &key);
         out->push_back(std::move(key));
-        CollectKeys(*node.children[0], out);
+        CollectKeys(*node.children[0], singles, out);
         return;
       }
       case BodyKind::kCatch: {
@@ -150,16 +254,20 @@ class Validator {
         TermRef g = store_->Deref(node.goal);
         std::string key = NameOf(store_->pred_id(g));
         key += '|';
-        key += reader::WriteTerm(*store_, store_->arg(g, 1));
+        AppendKey(store_->arg(g, 1), singles, &key);
         out->push_back(std::move(key));
-        for (const auto& child : node.children) CollectKeys(*child, out);
+        for (const auto& child : node.children) {
+          CollectKeys(*child, singles, out);
+        }
         return;
       }
       case BodyKind::kConj:
       case BodyKind::kDisj:
       case BodyKind::kIfThenElse:
       case BodyKind::kNeg:
-        for (const auto& child : node.children) CollectKeys(*child, out);
+        for (const auto& child : node.children) {
+          CollectKeys(*child, singles, out);
+        }
         return;
     }
   }
@@ -172,7 +280,7 @@ class Validator {
     return it != pinned_keys_.end();
   }
 
-  void NotePinned(const BodyNode& node) {
+  void NotePinned(const BodyNode& node, const Singletons& singles) {
     std::vector<TermRef> goals;
     analysis::CollectCalledGoals(*store_, node, &goals);
     for (TermRef goal : goals) {
@@ -183,7 +291,7 @@ class Validator {
       bool pinned = analysis::IsSideEffectBuiltin(bare, callee.arity) ||
                     (in_.fixity != nullptr && in_.original->Has(callee) &&
                      in_.fixity->IsFixed(callee));
-      if (pinned) pinned_keys_.insert(GoalKey(g));
+      if (pinned) pinned_keys_.insert(GoalKey(g, singles));
     }
   }
 
@@ -279,9 +387,9 @@ class Validator {
     int cuts = 0;
   };
 
-  BodyShape ShapeOf(const BodyNode& body) const {
+  BodyShape ShapeOf(const BodyNode& body, const Singletons& singles) const {
     BodyShape s;
-    CollectKeys(body, &s.sequence);
+    CollectKeys(body, singles, &s.sequence);
     s.sorted = s.sequence;
     std::sort(s.sorted.begin(), s.sorted.end());
     for (const std::string& key : s.sequence) {
@@ -345,33 +453,36 @@ class Validator {
     // Reorderable predicate: match clauses by head (the emitter reuses the
     // original head argument TermRefs), then require each body to keep its
     // goal multiset, cut count and pinned-goal order.
-    for (const Clause& clause : orig_clauses) {
-      auto body = analysis::ParseBody(*store_, clause.body);
-      if (body.ok()) NotePinned(*body.value());
-    }
-    // Written (not ref-identity) keys, like GoalKey: emitted heads reuse
-    // the original argument TermRefs so both render equally, and a
-    // re-parsed program (the analysis cache re-validating an adopted
-    // entry) still matches as long as variables keep their source names.
-    // Colliding keys are fine — the shape check below disambiguates.
-    auto head_key = [this](TermRef head) {
+    //
+    // Keys are written, not ref-identity: emitted clauses reuse the
+    // original TermRefs so both key equally, and a re-parsed program (the
+    // analysis cache re-validating an adopted entry) still matches as long
+    // as every variable keeps its source name or stays a singleton of its
+    // part. Colliding head keys are fine — the shape check disambiguates.
+    auto head_key = [this](TermRef head, const Singletons& singles) {
       TermRef h = store_->Deref(head);
       std::string key;
       for (uint32_t i = 0; i < store_->arity(h); ++i) {
-        key += reader::WriteTerm(*store_, store_->arg(h, i));
+        AppendKey(store_->arg(h, i), singles, &key);
         key += ',';
       }
       return key;
     };
-    std::multimap<std::string, size_t> by_head;
-    std::vector<BodyShape> orig_shapes(orig_clauses.size());
-    std::vector<bool> orig_ok(orig_clauses.size(), false);
+    std::vector<std::unique_ptr<BodyNode>> orig_bodies(orig_clauses.size());
+    std::vector<Singletons> orig_singles(orig_clauses.size());
     for (size_t i = 0; i < orig_clauses.size(); ++i) {
       auto body = analysis::ParseBody(*store_, orig_clauses[i].body);
       if (!body.ok()) continue;
-      orig_shapes[i] = ShapeOf(*body.value());
-      orig_ok[i] = true;
-      by_head.emplace(head_key(orig_clauses[i].head), i);
+      orig_bodies[i] = std::move(body).value();
+      orig_singles[i] = SingletonsOf(orig_clauses[i].head, *orig_bodies[i]);
+      NotePinned(*orig_bodies[i], orig_singles[i]);
+    }
+    std::multimap<std::string, size_t> by_head;
+    std::vector<BodyShape> orig_shapes(orig_clauses.size());
+    for (size_t i = 0; i < orig_clauses.size(); ++i) {
+      if (orig_bodies[i] == nullptr) continue;
+      orig_shapes[i] = ShapeOf(*orig_bodies[i], orig_singles[i]);
+      by_head.emplace(head_key(orig_clauses[i].head, orig_singles[i]), i);
     }
     std::vector<bool> consumed(orig_clauses.size(), false);
     for (size_t t = 0; t < trans_clauses.size(); ++t) {
@@ -383,20 +494,32 @@ class Validator {
                                 t + 1, body.status().ToString().c_str()));
         continue;
       }
+      const TermRef head = trans_clauses[t].head;
       const BodyNode* optimistic = nullptr;
       const BodyNode* normal = StripGuard(*body.value(), &optimistic);
-      BodyShape shape = ShapeOf(*normal);
-      auto [lo, hi] = by_head.equal_range(head_key(trans_clauses[t].head));
+      const Singletons singles = SingletonsOf(head, *normal);
+      const std::string key = head_key(head, singles);
+      BodyShape shape = ShapeOf(*normal, singles);
+      // The optimistic branch is its own part: it must key its head and
+      // body like the original too, under its own singletons.
+      bool optimistic_ok = true;
+      BodyShape opt_shape;
+      if (optimistic != nullptr) {
+        const Singletons opt_singles = SingletonsOf(head, *optimistic);
+        optimistic_ok = head_key(head, opt_singles) == key;
+        opt_shape = ShapeOf(*optimistic, opt_singles);
+      }
+      auto [lo, hi] = by_head.equal_range(key);
       bool matched = false;
       bool any_candidate = false;
       for (auto it = lo; it != hi; ++it) {
         size_t i = it->second;
-        if (consumed[i] || !orig_ok[i]) continue;
+        if (consumed[i]) continue;
         any_candidate = true;
         if (!SameShape(orig_shapes[i], shape)) continue;
-        if (optimistic != nullptr) {
-          BodyShape opt_shape = ShapeOf(*optimistic);
-          if (!SameShape(orig_shapes[i], opt_shape)) continue;
+        if (optimistic != nullptr &&
+            (!optimistic_ok || !SameShape(orig_shapes[i], opt_shape))) {
+          continue;
         }
         consumed[i] = true;
         matched = true;
@@ -416,7 +539,7 @@ class Validator {
       }
     }
     for (size_t i = 0; i < orig_clauses.size(); ++i) {
-      if (orig_ok[i] && !consumed[i]) {
+      if (orig_bodies[i] != nullptr && !consumed[i]) {
         Report("PL101", Severity::kError, orig_clauses[i].span, where,
                prore::StrFormat("original clause %zu is missing from the "
                                 "transformed predicate",

@@ -8,6 +8,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <condition_variable>
@@ -486,6 +489,12 @@ std::string Server::HandleRequest(
         reply = DoLoad(req, ctx);
       } else if (op == "reorder") {
         reply = DoReorder(req, ctx);
+#if defined(__GLIBC__)
+        // A reorder frees its per-group stores into this worker's malloc
+        // arena, which keeps them: hand the pages back, or the footprint
+        // grows with the request rate.
+        malloc_trim(0);
+#endif
       } else if (op == "lint") {
         reply = DoLint(req, ctx);
       } else {

@@ -2,11 +2,14 @@
 // negative snippet per pass (PL001..PL008), parse-error span recovery
 // (PL000), the pass registry, and the reorder validator — both the clean
 // path (the optimizer's own output verifies) and corruption paths where a
-// tampered transformation must be caught (PL100..PL103).
+// tampered transformation must be caught (PL100..PL103). PL101 compares
+// clauses up to renaming of singleton variables and nothing more: output
+// re-read with renamed singletons verifies, every other change is caught.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "analysis/callgraph.h"
 #include "analysis/mode_inference.h"
 #include "analysis/modes.h"
+#include "core/pipeline.h"
 #include "core/reorderer.h"
 #include "lint/diagnostic.h"
 #include "lint/lint.h"
@@ -598,6 +602,119 @@ TEST_F(ValidatorTest, IllegalCallModeInVersionIsPL100) {
   ASSERT_GE(found.size(), 1u);
   EXPECT_EQ(found[0].severity, Severity::kError);
   EXPECT_NE(found[0].message.find(">"), std::string::npos);
+}
+
+// ---- PL101 up to singleton renaming ------------------------------------------
+
+/// t/1 has an anonymous variable, a variable shared by two goals, a
+/// constant argument and two pinned side-effect goals at the end.
+constexpr const char* kSingletonProgram = R"(
+a(1). a(2). a(3).
+b(1, x). b(2, y). b(3, z).
+d(1, 1). d(2, 1). d(3, 2).
+left(1, 2). left(2, 3). left(3, 1).
+right(2). right(3).
+t(X) :- b(X, _), left(X, Z), right(Z), a(X), d(X, 1), write(X), nl.
+)";
+
+/// `text` with every occurrence of `from` replaced by `to`.
+std::string ReplaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  for (size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+/// The written reorder output of kSingletonProgram with its unnamed
+/// singletons (`_G<n>`) renamed `_Anon<n>`, as when the analysis cache
+/// re-reads an entry written by another run.
+std::string RenamedSingletonOutput(const TermStore& store,
+                                   const core::ReorderResult& result) {
+  const std::string written = reader::WriteProgram(store, result.program);
+  std::string renamed;
+  for (size_t i = 0; i < written.size(); ++i) {
+    if (written.compare(i, 2, "_G") == 0 && i + 2 < written.size() &&
+        std::isdigit(static_cast<unsigned char>(written[i + 2]))) {
+      renamed += "_Anon";
+      ++i;
+    } else {
+      renamed += written[i];
+    }
+  }
+  EXPECT_NE(renamed, written) << "no anonymous variable in the output";
+  return renamed;
+}
+
+TEST_F(ValidatorTest, RereadOutputWithRenamedSingletonsVerifiesClean) {
+  reader::Program original = Parse(kSingletonProgram);
+  core::ReorderResult result = Reorder(original);
+  reader::Program reread = Parse(RenamedSingletonOutput(store_, result));
+  ReorderCheckInput input;
+  input.original = &original;
+  input.transformed = &reread;
+  input.versions = VersionsOf(result);
+  for (const Diagnostic& d : ValidateReorder(&store_, input)) {
+    ADD_FAILURE() << d.ToString();
+  }
+}
+
+TEST_F(ValidatorTest, TamperedRereadOutputIsPL101) {
+  reader::Program original = Parse(kSingletonProgram);
+  core::ReorderResult result = Reorder(original);
+  const std::string renamed = RenamedSingletonOutput(store_, result);
+  // b/2's goal with its renamed singleton, e.g. `b_uu(X,_Anon1)`.
+  const size_t b_at = renamed.find("b_uu(X,_Anon");
+  ASSERT_NE(b_at, std::string::npos) << renamed;
+  const std::string b_goal =
+      renamed.substr(b_at, renamed.find(')', b_at) + 1 - b_at);
+  struct Tamper {
+    const char* what;
+    std::string from;
+    std::string to;
+  };
+  const Tamper tampers[] = {
+      {"singleton turned shared", b_goal, "b_uu(X,X)"},
+      {"shared variable split", "left_uu(X,Z)", "left_uu(X,Z2)"},
+      {"goal dropped", "    a_u(X),\n", ""},
+      {"goal duplicated", "    a_u(X),\n", "    a_u(X),\n    a_u(X),\n"},
+      {"constant changed", "d_uu(X,1)", "d_uu(X,2)"},
+      {"pinned goals swapped", "write(X),\n    nl.", "nl,\n    write(X)."},
+  };
+  for (const Tamper& tamper : tampers) {
+    SCOPED_TRACE(tamper.what);
+    const std::string text = ReplaceAll(renamed, tamper.from, tamper.to);
+    ASSERT_NE(text, renamed) << "the tamper did not apply:\n" << renamed;
+    reader::Program reread = Parse(text);
+    ReorderCheckInput input;
+    input.original = &original;
+    input.transformed = &reread;
+    input.versions = VersionsOf(result);
+    EXPECT_TRUE(HasError(WithCode(ValidateReorder(&store_, input), "PL101")));
+  }
+}
+
+TEST_F(ValidatorTest, GuardedReorderOfClauseWithAnonymousVariableStaysFull) {
+  // The run-time guard repeats the clause's goals in both branches, so the
+  // `_` of s/2 occurs twice in the clause but once in each branch.
+  reader::Program original = Parse(
+      "q(1, 2). q(2, 3). q(3, 4). q(4, 5).\n"
+      "p(1, 2). p(2, 3).\n"
+      "r(3). r(4).\n"
+      "s(1, 1). s(2, 2). s(a, 1).\n"
+      "t(X, Y) :- q(Y, Z), p(X, Y), r(Z), s(_, X).\n");
+  core::PipelineOptions options;
+  options.reorder.runtime_guards = true;
+  auto result = core::GuardedPipeline(&store_, options).Run(original);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string written = reader::WriteProgram(store_, result->program);
+  ASSERT_NE(written.find("(ground("), std::string::npos)
+      << "no guard emitted:\n" << written;
+  ASSERT_EQ(result->report.preds.size(), 5u);
+  for (const core::PredOutcome& o : result->report.preds) {
+    EXPECT_EQ(o.level, core::LadderLevel::kFull) << o.name;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // a fault injected into one dependency group quarantines only that group
 // while the rest of the program is optimized at full strength. A golden
 // test pins the written output of a layered program at jobs=0, 1 and 4,
-// another what a sharded run past its deadline writes and reports.
+// another what a sharded run past its deadline writes and reports. A
+// second run over a shared analysis cache adopts every group.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +20,11 @@
 #include "analysis/callgraph.h"
 #include "analysis/modes.h"
 #include "common/cancellation.h"
+#include "core/analysis_cache.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/pipeline.h"
+#include "programs/programs.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
 #include "term/store.h"
@@ -426,6 +429,46 @@ TEST(ParallelPipelineTest, ExpiredDeadlineShipsIdentityWithUnchangedReport) {
                                "_"));
   EXPECT_EQ(result->report.ToJson(), kExpiredDeadlineReport);
   EXPECT_EQ(Fnv1a(written), kExpiredDeadlineDigest);
+}
+
+// The analysis cache must keep its own hits: a second jobs=1 run over the
+// same source adopts every dependency group — none rejected by the
+// re-validation — and writes the cold run's text. Every program here has
+// clauses with `_`, which the cached text names `_G<n>`.
+TEST(ParallelPipelineTest, SecondRunWithSharedCacheAdoptsEveryGroup) {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const programs::BenchmarkProgram* bench : programs::AllPrograms()) {
+    sources.emplace_back(bench->name, bench->source);
+  }
+  sources.emplace_back("layered", LayeredProgram(7, 75, 5));
+  for (const auto& [name, source] : sources) {
+    SCOPED_TRACE(name);
+    core::AnalysisCache cache(4096);
+    std::string cold_text;
+    for (int run = 0; run < 2; ++run) {
+      TermStore store;
+      auto program = reader::ParseProgramText(&store, source);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      auto graph = analysis::CallGraph::Build(store, *program);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      const size_t groups = analysis::ComputeDependencyGroups(*graph).size();
+      PipelineOptions options;
+      options.jobs = 1;
+      options.cache = &cache;
+      auto result = GuardedPipeline(&store, options).Run(*program);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string text = reader::WriteProgram(store, result->program);
+      if (run == 0) {
+        EXPECT_EQ(result->report.cache_misses, groups);
+        cold_text = text;
+        continue;
+      }
+      EXPECT_EQ(result->report.cache_rejected, 0u);
+      EXPECT_EQ(result->report.cache_hits, groups);
+      EXPECT_EQ(text, cold_text);
+    }
+    EXPECT_EQ(cache.stats().invalidations, 0u);
+  }
 }
 
 }  // namespace

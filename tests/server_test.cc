@@ -575,5 +575,86 @@ TEST(ServerTest, CorruptCacheEntryIsDetectedAndRecomputed) {
   server.Wait();
 }
 
+/// kThreeGroupProgram with an anonymous variable in pick/1. The cached text
+/// names it `_G<n>`, so the hit only survives re-validation because PL101
+/// compares clauses up to renaming of singleton variables.
+constexpr const char* kAnonThreeGroupProgram =
+    "fruit(apple).\nfruit(plum).\n"
+    "color(apple,green).\ncolor(plum,blue).\n"
+    "pick(F) :- fruit(F), color(F,_).\n";
+
+TEST(ServerTest, CacheKeepsHitsOfClausesWithAnonymousVariables) {
+  Server server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client c(server.socket_path());
+  ASSERT_EQ(c.Call(LoadRequest(kAnonThreeGroupProgram)).GetString("status"),
+            "ok");
+  JsonValue cold = c.Call(R"x({"op":"reorder"})x");
+  ASSERT_EQ(cold.GetString("status"), "ok");
+  ASSERT_NE(cold.GetString("program").find("_G"), std::string::npos);
+  double ins_cold = CacheStat(c, "insertions");
+  ASSERT_GE(ins_cold, 3);
+
+  double hits_before = CacheStat(c, "hits");
+  JsonValue warm = c.Call(R"x({"op":"reorder"})x");
+  EXPECT_EQ(warm.Dump(), cold.Dump());
+  EXPECT_EQ(CacheStat(c, "hits") - hits_before, 3);
+  EXPECT_EQ(CacheStat(c, "invalidations"), 0);
+  EXPECT_EQ(CacheStat(c, "insertions"), ins_cold);
+
+  // The dirty cone of an edit to color/2 is color/2 and pick/1, exactly
+  // as in CacheRecomputesOnlyTheDirtyCone.
+  std::string edited =
+      "fruit(apple).\nfruit(plum).\n"
+      "color(apple,red).\ncolor(plum,blue).\n"
+      "pick(F) :- fruit(F), color(F,_).\n";
+  hits_before = CacheStat(c, "hits");
+  ASSERT_EQ(c.Call(LoadRequest(edited)).GetString("status"), "ok");
+  ASSERT_EQ(c.Call(R"x({"op":"reorder"})x").GetString("status"), "ok");
+  EXPECT_EQ(CacheStat(c, "hits") - hits_before, 1);
+  EXPECT_EQ(CacheStat(c, "insertions") - ins_cold, 2);
+  EXPECT_EQ(CacheStat(c, "invalidations"), 0);
+
+  server.Shutdown();
+  server.Wait();
+}
+
+TEST(ServerTest, CacheEntryWithASplitSharedVariableIsInvalidated) {
+  Server server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client c(server.socket_path());
+  ASSERT_EQ(c.Call(LoadRequest(kThreeGroupProgram)).GetString("status"),
+            "ok");
+  JsonValue cold = c.Call(R"x({"op":"reorder"})x");
+  ASSERT_EQ(cold.GetString("status"), "ok");
+
+  // pick/2's entry: C links the head to color/2; give the goal its own
+  // variable instead. Both are then singletons, and the clause means
+  // something else.
+  auto& cache = server.cache();
+  size_t corrupted = 0;
+  for (uint64_t k : cache.KeysForTest()) {
+    ASSERT_TRUE(cache.CorruptForTest(k, [&corrupted](core::GroupCacheEntry* e) {
+      const std::string from = "color(F,C)";
+      for (size_t at = e->program_text.find(from); at != std::string::npos;
+           at = e->program_text.find(from, at)) {
+        e->program_text.replace(at, from.size(), "color(F,C2)");
+        ++corrupted;
+      }
+    }));
+  }
+  ASSERT_GE(corrupted, 1u);
+  double inval_before = cache.stats().invalidations;
+
+  JsonValue warm = c.Call(R"x({"op":"reorder"})x");
+  ASSERT_EQ(warm.GetString("status"), "ok");
+  EXPECT_EQ(warm.GetString("program"), cold.GetString("program"));
+  EXPECT_EQ(warm.GetString("report"), cold.GetString("report"));
+  EXPECT_EQ(cache.stats().invalidations, inval_before + 1);
+
+  server.Shutdown();
+  server.Wait();
+}
+
 }  // namespace
 }  // namespace prore::server

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "engine/database.h"
 #include "engine/machine.h"
@@ -174,15 +175,6 @@ Row MeasureMicro(const MicroScenario& s, const std::string& goal_text,
   return row;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,12 +231,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "[\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    std::string workload;
+    prore::AppendJsonEscaped(&workload, r.workload);
     std::fprintf(f,
-                 "  {\"workload\": \"%s\", \"wall_ns\": %llu, "
+                 "  {\"workload\": %s, \"wall_ns\": %llu, "
                  "\"calls\": %llu, \"unifications\": %llu, "
                  "\"heap_cells\": %llu, \"choicepoints_elided\": %llu, "
                  "\"threads\": %zu, \"hw_threads\": %zu}%s\n",
-                 JsonEscape(r.workload).c_str(),
+                 workload.c_str(),
                  static_cast<unsigned long long>(r.wall_ns),
                  static_cast<unsigned long long>(r.calls),
                  static_cast<unsigned long long>(r.unifications),
