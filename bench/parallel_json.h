@@ -6,8 +6,9 @@
 // pipeline_scale, "engine" from mt_queries). Each run rewrites only its
 // own section and preserves the others, so the benches can run in any
 // order — or alone — and the file stays whole. The parser below handles
-// exactly the format this writer emits (entry objects, no brackets or
-// braces inside strings), which is all it ever sees.
+// exactly the format this writer emits (entry objects whose strings are
+// JSON-escaped), which is all it ever sees; brackets and braces inside
+// strings are skipped.
 
 #include <cstdio>
 #include <fstream>
@@ -20,6 +21,20 @@ namespace prore::bench {
 inline const char* const kParallelSections[] = {"pipeline", "pipeline_sweep",
                                                "engine"};
 
+/// If `text[i]` opens a JSON string, the index of its closing quote (or
+/// text.size() when unterminated); otherwise `i`.
+inline size_t SkipString(const std::string& text, size_t i) {
+  if (text[i] != '"') return i;
+  for (++i; i < text.size(); ++i) {
+    if (text[i] == '\\') {
+      ++i;  // the escaped character, whatever it is
+    } else if (text[i] == '"') {
+      return i;
+    }
+  }
+  return text.size();
+}
+
 /// Extracts the raw `[...]` array text of `key` from `json`, empty string
 /// if absent.
 inline std::string ExtractSection(const std::string& json,
@@ -30,6 +45,8 @@ inline std::string ExtractSection(const std::string& json,
   size_t open = start + needle.size() - 1;
   int depth = 0;
   for (size_t i = open; i < json.size(); ++i) {
+    i = SkipString(json, i);
+    if (i >= json.size()) break;
     if (json[i] == '[') ++depth;
     if (json[i] == ']' && --depth == 0) {
       return json.substr(open, i - open + 1);
@@ -55,6 +72,8 @@ inline std::vector<std::string> ReadSectionEntries(const char* path,
   int depth = 0;
   size_t start = 0;
   for (size_t i = 1; i + 1 < array.size(); ++i) {
+    i = SkipString(array, i);
+    if (i + 1 >= array.size()) break;
     const char c = array[i];
     if (c == '{' || c == '[') {
       if (depth++ == 0) start = i;

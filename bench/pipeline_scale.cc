@@ -45,6 +45,7 @@
 #include "analysis/callgraph.h"
 #include "bench/parallel_json.h"
 #include "common/cancellation.h"
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "core/analysis_cache.h"
 #include "core/pipeline.h"
@@ -61,8 +62,8 @@ namespace {
 // ~1000 predicates: kClusters independent clusters of 4 predicates each.
 // Within a cluster the top predicate joins the two mid predicates over a
 // small fact base, so each dependency group gives the goal-order search
-// and cost model real work; across clusters there are no edges, so the
-// sharded pipeline has abundant parallelism.
+// and cost model real work; across clusters there are no edges, so every
+// group lands in the first wave and the pipeline has abundant parallelism.
 constexpr int kClusters = 250;
 
 std::string SyntheticProgram() {
@@ -216,6 +217,7 @@ struct SweepRun {
   size_t jobs = 0;
   double ms = 0.0;
   bool identity_fallback = false;
+  std::string text;  ///< the written program
 };
 
 /// Least-squares slope of log(ms) over log(preds) for one jobs value.
@@ -321,6 +323,7 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
       SweepRun r;
       r.preds = preds;
       r.jobs = jobs;
+      r.text = prore::reader::WriteProgram(store, result->program);
       r.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       r.identity_fallback = !result->report.global_trigger.empty();
       std::printf("preds=%d jobs=%zu: %.1f ms%s\n", preds, jobs, r.ms,
@@ -338,7 +341,22 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
     warm_runs.push_back(w);
   }
 
-  std::string row = "{\"label\": \"" + label + "\", \"host\": {";
+  // jobs=0 and jobs=1 run one pipeline path: per size, whether they wrote
+  // the same program.
+  std::vector<std::pair<int, bool>> same_text;
+  for (const SweepRun& a : runs) {
+    if (a.jobs != 0) continue;
+    for (const SweepRun& b : runs) {
+      if (b.jobs == 1 && b.preds == a.preds) {
+        same_text.emplace_back(a.preds, a.text == b.text);
+      }
+    }
+  }
+  for (SweepRun& r : runs) r.text.clear();
+
+  std::string label_field = "\"label\": ";
+  prore::AppendJsonEscaped(&label_field, label);
+  std::string row = "{" + label_field + ", \"host\": {";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"hw_threads\": %zu, \"build_type\": \"%s\", "
@@ -364,6 +382,17 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
                   runs[i].identity_fallback ? "true" : "false");
     row += buf;
   }
+  row += "], \"same_text_j0_j1\": [";
+  for (size_t i = 0; i < same_text.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s{\"preds\": %d, \"same\": %s}",
+                  i ? ", " : "", same_text[i].first,
+                  same_text[i].second ? "true" : "false");
+    row += buf;
+    std::printf("preds=%d: jobs=0 and jobs=1 wrote %s\n",
+                same_text[i].first,
+                same_text[i].second ? "the same program"
+                                    : "different programs");
+  }
   row += "], \"warm_cache\": [";
   for (size_t i = 0; i < warm_runs.size(); ++i) {
     const WarmCacheRun& w = warm_runs[i];
@@ -380,7 +409,7 @@ int RunSweep(const char* out_path, const std::string& label, int max_preds,
   std::vector<std::string> entries;
   for (std::string& e :
        prore::bench::ReadSectionEntries(out_path, "pipeline_sweep")) {
-    if (e.find("\"label\": \"" + label + "\"") == std::string::npos) {
+    if (e.find(label_field) == std::string::npos) {
       entries.push_back(std::move(e));
     }
   }

@@ -22,15 +22,17 @@ namespace prore::analysis {
 /// cone — while the callee-side groups keep their hashes and stay
 /// cacheable.
 ///
-/// Two whole-program inputs are deliberately folded into every group hash,
-/// trading incrementality for soundness:
-///  - the directive list and the full defined-predicate name set: legal-
-///    mode declarations change analysis results anywhere, and the set of
-///    program names feeds version-name collision avoidance
-///    (ReorderOptions::reserved_preds);
-///  - per group, the frozen predicates among its members and cone: the
-///    cut-freezing property flows caller -> callee, so a caller edit can
-///    change a callee group's output without touching its clauses.
+/// One whole-program input is deliberately folded into every group hash,
+/// trading incrementality for soundness: the directive list and the full
+/// defined-predicate name set — legal-mode declarations change analysis
+/// results anywhere, and version names are probed for collisions against
+/// every predicate of the program.
+///
+/// What the whole-program analyses conclude about a group (modes flow
+/// top-down from the entry points, cut-freezing flows caller -> callee) is
+/// not content: the reorderer fingerprints those facts separately
+/// (core::ProgramAnalysis::FactsFingerprint) and the analysis cache keys a
+/// group by both.
 struct ContentHashes {
   std::unordered_map<term::PredId, uint64_t, term::PredIdHash> pred_hash;
   /// Parallel to DependencyGroups::groups.
@@ -43,15 +45,13 @@ uint64_t HashMix(uint64_t seed, uint64_t value);
 uint64_t HashBytes(uint64_t seed, std::string_view bytes);
 
 /// Computes the per-predicate and per-group hashes for `program` under
-/// `groups` (its SCC condensation). `frozen` is the whole-program
-/// cut-frozen set (core/restrictions.h FrozenDescendants), may be null.
-/// `salt` is folded into every hash — callers use it to fingerprint the
-/// transform options, so cache entries produced under different options
-/// never collide.
+/// `groups` (its SCC condensation). `salt` is folded into every hash —
+/// callers use it to fingerprint the transform options, so cache entries
+/// produced under different options never collide.
 ContentHashes ComputeContentHashes(const term::TermStore& store,
                                    const reader::Program& program,
                                    const DependencyGroups& groups,
-                                   const PredSet* frozen, uint64_t salt);
+                                   uint64_t salt);
 
 }  // namespace prore::analysis
 

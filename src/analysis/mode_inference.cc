@@ -435,6 +435,17 @@ LegalityOracle::LegalityOracle(const TermStore* store,
                                const ModeAnalysis* analysis)
     : store_(store), program_(program), graph_(graph), analysis_(analysis) {}
 
+LegalityOracle::LegalityOracle(const LegalityOracle* base)
+    : store_(base->store_),
+      program_(base->program_),
+      graph_(base->graph_),
+      analysis_(base->analysis_),
+      base_(base) {}
+
+void LegalityOracle::Absorb(const LegalityOracle& other) {
+  for (const auto& [key, entry] : other.memo_) memo_.emplace(key, entry);
+}
+
 std::string LegalityOracle::Key(const PredId& id, const Mode& mode) const {
   return store_->symbols().Name(id.name) + "/" + std::to_string(id.arity) +
          ":" + ModeSuffix(mode);
@@ -480,6 +491,10 @@ const LegalityOracle::Entry& LegalityOracle::Analyze(const PredId& id,
   std::string key = Key(id, call_mode);
   auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
+  if (base_ != nullptr) {
+    auto bit = base_->memo_.find(key);
+    if (bit != base_->memo_.end()) return bit->second;
+  }
   if (in_progress_.count(key) > 0) {
     // Defensive: shouldn't happen for non-recursive predicates.
     static const auto& kIllegal = *new Entry{false, {}};

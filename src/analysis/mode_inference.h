@@ -86,6 +86,15 @@ class LegalityOracle {
                  const reader::Program* program, const CallGraph* graph,
                  const ModeAnalysis* analysis);
 
+  /// An oracle over `base`'s program and analyses that reads `base`'s
+  /// answers before computing its own. Answers do not depend on the order
+  /// of questions, so several such oracles can serve concurrent readers
+  /// while `base` stays unchanged; Absorb folds their answers back.
+  explicit LegalityOracle(const LegalityOracle* base);
+
+  /// Adds `other`'s memoized answers that this oracle lacks.
+  void Absorb(const LegalityOracle& other);
+
   /// Is a call to `id` with argument modes `call_mode` safe?
   bool IsLegalCall(const term::PredId& id, const Mode& call_mode);
 
@@ -113,6 +122,7 @@ class LegalityOracle {
   const reader::Program* program_;
   const CallGraph* graph_;
   const ModeAnalysis* analysis_;
+  const LegalityOracle* base_ = nullptr;
   const BuiltinModes& builtin_modes_ = BuiltinModes::Standard();
   std::unordered_map<std::string, Entry> memo_;
   std::unordered_set<std::string> in_progress_;

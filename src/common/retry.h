@@ -10,7 +10,7 @@ namespace prore {
 
 /// How a fault boundary should react to a failure. The pipeline retries
 /// only kTransient faults: a watchdog trip or deadline brush may have been
-/// caused by scheduling noise or a contended sibling shard, so one bounded
+/// caused by scheduling noise or a contended sibling group, so one bounded
 /// retry is cheap insurance before demoting the predicate a ladder rung.
 /// Deterministic faults (validator findings, crashes, internal errors)
 /// would fail identically on retry, and cancellation must never be

@@ -40,21 +40,13 @@ const char* LadderLevelName(LadderLevel level);
 
 struct PipelineOptions {
   ReorderOptions reorder;
-  /// Parallelism over SCC dependency groups. 0 = the classic whole-program
-  /// pipeline (one Reorderer over everything, callers priced against their
-  /// already-reordered callees). N >= 1 = the sharded pipeline: the call
-  /// graph is condensed into dependency groups (analysis::DependencyGroups)
-  /// and each group is transformed independently on a pool of N worker
-  /// threads, against a private copy of its dependency cone with the cone
-  /// pinned to identity. Group construction and the merge are fully
-  /// deterministic, so --jobs=N output is bit-identical to --jobs=1 (N only
-  /// changes wall-clock). jobs=1 runs the same sharded code path inline.
+  /// Worker threads for the dependency groups of one wave. The analyses
+  /// run once over the whole program; the groups are then transformed in
+  /// topological waves, callees first, each against its callee groups'
+  /// published versions. 0 and 1 run the groups inline on the calling
+  /// thread; every value writes the same program (N only changes wall
+  /// time).
   size_t jobs = 0;
-  /// Predicates that enter the degradation ladder at kIdentity and stay
-  /// there: emitted verbatim, never blamed, calls to them never renamed
-  /// (null = none). The sharded pipeline pins each group's dependency cone
-  /// this way.
-  std::shared_ptr<const analysis::PredSet> pinned_identity;
   /// Run the unfolding pre-pass (prore --unfold).
   bool unfold = false;
   UnfoldOptions unfold_options;
@@ -88,26 +80,23 @@ struct PipelineOptions {
   /// findings, crashes) skip straight to demotion. max_attempts = 1
   /// disables retries. Configurable via --retry-attempts on prore/prored.
   prore::RetryPolicy retry;
-  /// Content-addressed reuse of per-group transform results, keyed by the
-  /// group's content hash over the SCC condensation (clause hashes plus
-  /// callee-group hashes; analysis/content_hash.h). Null = no caching.
-  /// Setting a cache forces the sharded path even when jobs == 0 (the
-  /// classic whole-program pipeline prices callers against reordered
-  /// callees and is not group-decomposable). Hits are re-validated with
-  /// the PL100-PL103 checks before being trusted; a failed validation
-  /// invalidates the entry and recomputes. Only clean (non-degraded)
-  /// groups are inserted.
+  /// Content-addressed reuse of per-group transform results (null = no
+  /// caching). A group's key covers its clauses, the analysis facts its
+  /// transform reads about its members and its callee groups' keys; a
+  /// program-level entry maps an unedited program to its groups' fact
+  /// fingerprints, so such a program adopts every group without running
+  /// the analyses. Hits are re-validated with the PL101-PL103 checks
+  /// before being trusted; a failed validation invalidates the entry and
+  /// recomputes. Only clean groups are inserted.
   AnalysisCache* cache = nullptr;
   /// Salt folded into every content hash; callers fingerprint the
   /// transform options here so entries produced under different options
   /// never collide. (prored derives it from the request's option set.)
   uint64_t cache_salt = 0;
-  /// Sharded runs only: as soon as one group degrades, cancel the sibling
-  /// groups (pending tasks dropped, running ones interrupted through
-  /// their ExecContext) instead of burning them to completion. Used by
-  /// `prore --strict`, where any degradation already means exit 3 — so
-  /// sibling results cannot change the outcome. Off by default because
-  /// early-stopping makes jobs=N output depend on completion timing.
+  /// As soon as one group degrades, ship every group not yet transformed
+  /// at identity instead of transforming it. Used by `prore --strict`,
+  /// where any degradation already means exit 3. Groups settle in a fixed
+  /// order, so the output still does not depend on `jobs`.
   bool stop_on_degrade = false;
 };
 
@@ -138,7 +127,9 @@ struct PredOutcome {
 struct PipelineReport {
   /// One entry per original predicate, in program order.
   std::vector<PredOutcome> preds;
-  /// Whole-pipeline attempts (1 = clean first pass).
+  /// Passes over the program (1 = clean first pass): each restart from
+  /// the pre-passes and each extra round of a wave's faulted groups adds
+  /// one.
   int runs = 1;
   /// Non-empty when a global (unattributable) failure forced the whole
   /// program to identity — e.g. a mode-inference watchdog trip during
@@ -154,9 +145,9 @@ struct PipelineReport {
   bool absint_disabled = false;
   std::string absint_trigger;
 
-  /// Analysis-cache accounting for this run (sharded path with a cache
-  /// only; all zero otherwise). Deliberately NOT part of ToText/ToJson:
-  /// the rendered report describes the transformation, which is identical
+  /// Analysis-cache accounting for this run (all zero without a cache).
+  /// Deliberately NOT part of ToText/ToJson: the rendered report
+  /// describes the transformation, which is identical
   /// whether a group was recomputed or replayed from cache — keeping the
   /// counters out is what makes cache-hit responses bit-identical to cold
   /// ones. Consumers that want them (tests, prored stats) read the fields.
@@ -164,6 +155,10 @@ struct PipelineReport {
   size_t cache_misses = 0;
   /// Hits whose validation failed (corrupt entry); also counted as misses.
   size_t cache_rejected = 0;
+  /// Whole-program analysis set-ups (modes, absint, ...) this run
+  /// performed: 0 when the program-level cache entry let every group be
+  /// adopted, more than 1 after a restart. Not rendered either.
+  size_t analysis_runs = 0;
 
   /// True if any predicate ended below kFull (or a stage was disabled).
   bool degraded() const;
@@ -181,19 +176,20 @@ struct PipelineResult {
   /// Diagnostics from the final run (notes and warnings; error-severity
   /// findings have been consumed as quarantine triggers by then).
   std::vector<lint::Diagnostic> diagnostics;
-  /// DumpAbsint text from the final run (sharded: per-group sections, in
-  /// deterministic merge order; a group replayed from the analysis cache
-  /// adds none). Empty when absint was off or disabled.
+  /// DumpAbsint text from the final run. Empty when absint was off or
+  /// disabled, or when every group was adopted from the analysis cache.
   std::string absint_report;
   PipelineReport report;
 };
 
-/// The self-healing optimization pipeline. Runs unfold/factor/reorder under
-/// a per-predicate fault boundary: any failure attributed to a predicate
-/// demotes it one rung on the degradation ladder and re-runs; global
-/// failures (analysis watchdog trips during setup) fall back to the
-/// identity program. The result therefore always contains every predicate
-/// — healthy ones transformed, quarantined ones at their recorded rung —
+/// The self-healing optimization pipeline. Runs the unfold/factor
+/// pre-passes, the whole-program analyses once, and then the reorder of
+/// each dependency group under a per-predicate fault boundary: any failure
+/// attributed to a predicate demotes it one rung on the degradation ladder
+/// and re-runs its group; global failures (analysis watchdog trips during
+/// setup) fall back to the identity program. The result therefore always
+/// contains every predicate — healthy ones transformed, quarantined ones
+/// at their recorded rung —
 /// and Run() only returns an error for malformed input (not for any
 /// transform failure).
 class GuardedPipeline {
@@ -204,24 +200,19 @@ class GuardedPipeline {
   prore::Result<PipelineResult> Run(const reader::Program& original);
 
  private:
-  /// The classic single-threaded whole-program pipeline (jobs == 0).
-  prore::Result<PipelineResult> RunWhole(const reader::Program& original);
-  /// The dependency-group-sharded pipeline (jobs >= 1): independent groups
-  /// transformed concurrently, each inside its own fault boundary with its
-  /// own watchdog deadlines, merged deterministically.
-  prore::Result<PipelineResult> RunSharded(const reader::Program& original);
-
   /// The guaranteed bottom: a verbatim copy of the program.
   reader::Program CopyProgram(const reader::Program& original) const;
 
-  /// Parses and self-verifies one cached group entry against the owned
-  /// members' original clauses (PL100-PL103 validator, minus the checks
-  /// that need the producing run's analyses). On success the parsed
-  /// fragment (terms interned in the main store) lands in *out_frag.
+  /// Parses and self-verifies one cached group entry against its members'
+  /// clauses in `program` (PL101-PL103 validator, minus the checks that
+  /// need the analyses); `callee_versions` names the versions its bodies
+  /// may call. On success the group's output, with terms interned in the
+  /// main store, lands in *out.
   bool TryAdoptCachedGroup(const GroupCacheEntry& entry,
                            const std::vector<term::PredId>& members,
-                           const reader::Program& original,
-                           reader::Program* out_frag);
+                           const reader::Program& program,
+                           const VersionsByName& callee_versions,
+                           GroupOutput* out);
 
   term::TermStore* store_;
   PipelineOptions options_;

@@ -11,8 +11,10 @@
 #include <queue>
 
 #include "analysis/absint/absint.h"
+#include "analysis/absint/solver.h"
 #include "analysis/body.h"
 #include "analysis/callgraph.h"
+#include "analysis/content_hash.h"
 #include "analysis/fixity.h"
 #include "common/str_util.h"
 #include "core/clause_order.h"
@@ -52,19 +54,35 @@ Mode Weaken(const Mode& mode) {
   return out;
 }
 
-class Pipeline {
- public:
-  Pipeline(TermStore* store, const reader::Program& original,
-           const ReorderOptions& options)
-      : store_(store), original_(original), options_(options) {}
+}  // namespace
 
-  prore::Result<ReorderResult> Run();
+/// One dependency group's transform (see GroupTransform). Versions are
+/// seeded for every member up front; Plan orders them, Emit writes them.
+class GroupPipeline {
+ public:
+  GroupPipeline(ProgramAnalysis* analysis, size_t group,
+                const ReorderOptions& options);
+
+  prore::Status Plan();
+  prore::Result<GroupOutput> Emit();
+  void Publish(const GroupOutput& out);
 
  private:
+  /// A body ordered by Plan, emitted by Emit.
+  struct PlannedClause {
+    TermRef head;
+    std::unique_ptr<BodyNode> tree;  // null for facts
+    /// §V-D run-time guard: a better order valid when the head arguments
+    /// are ground at run time; emitted as
+    /// `( ground(A1),... -> optimistic ; normal )`.
+    std::unique_ptr<BodyNode> optimistic_tree;
+  };
+
   struct Version {
     PredId pred;
     Mode mode;
     std::string name;
+    std::vector<PlannedClause> planned;
     std::vector<reader::Clause> clauses;
     bool clauses_changed = false;
     bool goals_changed = false;
@@ -73,15 +91,15 @@ class Pipeline {
     bool emitted_under_original_name = false;
   };
 
-  prore::Status Setup();
-  prore::Status ProcessQueue();
-  std::string EnsureVersion(const PredId& pred, const Mode& mode);
-  prore::Status BuildVersion(const PredId& pred, const Mode& mode,
-                             Version* out);
+  void Seed();
+  void AddVersion(const PredId& pred, const Mode& mode);
+  /// Name calls to `pred` in `mode` go to: a specialized version of a
+  /// member, or the one a callee group published; else the original name.
+  std::string CalleeName(const PredId& pred, const Mode& mode) const;
+  prore::Status PlanVersion(Version* v);
+  prore::Status EmitVersion(Version* v);
 
   bool AllowReorder(const PredId& pred) const;
-  /// Position of `pred`'s SCC in the bottom-up order (0 if unknown).
-  size_t RankOf(const PredId& pred) const;
 
   // Phase A: reorder a body tree (no renaming).
   prore::Result<std::unique_ptr<BodyNode>> ReorderNode(const BodyNode& node,
@@ -105,165 +123,293 @@ class Pipeline {
   std::string ResolveAlias(std::string name) const;
   TermRef RewriteAliases(TermRef t);
   std::string TargetFor(const PredId& pred, const Mode& combo) const;
-  prore::Status EmitDispatcher(const PredId& pred, reader::Program* out);
-  prore::Result<reader::Program> Assemble();
+  prore::Status EmitDispatcher(const PredId& pred,
+                               std::vector<reader::Clause>* out);
 
   std::string Key(const PredId& id, const Mode& mode) const {
     return store_->symbols().Name(id.name) + "/" +
            std::to_string(id.arity) + ":" + analysis::ModeSuffix(mode);
   }
 
+  ProgramAnalysis* pa_;
   TermStore* store_;
   const reader::Program& original_;
   ReorderOptions options_;
+  /// The group's predicates, in program order.
+  const std::vector<PredId>& members_;
+  analysis::PredSet member_set_;
 
-  analysis::Declarations decls_;
-  analysis::CallGraph graph_;
-  analysis::FixityResult fixity_;
-  analysis::PredSet frozen_;
-  analysis::ModeAnalysis modes_;
-  std::unique_ptr<analysis::absint::AbsintResult> absint_;
   std::unique_ptr<analysis::LegalityOracle> oracle_;
   std::unique_ptr<cost::CostModel> costs_;
   std::unique_ptr<GoalOrderSearch> search_;
 
-  /// A version awaiting its build, ordered by (SCC rank, enqueue
-  /// sequence): lowest rank first, ties in enqueue order.
-  struct Pending {
-    size_t rank;
-    size_t seq;
-    std::string key;
-    bool operator>(const Pending& o) const {
-      return rank != o.rank ? rank > o.rank : seq > o.seq;
-    }
-  };
-
   std::map<std::string, Version> versions_;     // key -> version
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      pending_;                                 // min-heap of pending keys
-  size_t enqueued_ = 0;                         // next enqueue sequence
+  std::vector<std::string> build_order_;        // keys, in seeding order
   std::unordered_map<PredId, std::vector<std::string>, term::PredIdHash>
       versions_of_;                             // pred -> keys, in order
-  std::unordered_map<PredId, size_t, term::PredIdHash> scc_rank_;
   std::unordered_map<std::string, std::string> alias_;  // name -> canonical
-  std::vector<PredModeReport> reports_;
-  std::vector<lint::Diagnostic> diagnostics_;
+  std::vector<lint::Diagnostic> notes_;
 };
 
-prore::Status Pipeline::Setup() {
-  PRORE_ASSIGN_OR_RETURN(decls_,
-                         analysis::ParseDeclarations(*store_, original_));
-  PRORE_ASSIGN_OR_RETURN(graph_,
-                         analysis::CallGraph::Build(*store_, original_));
-  PRORE_ASSIGN_OR_RETURN(fixity_,
-                         analysis::AnalyzeFixity(*store_, original_, graph_));
-  PRORE_ASSIGN_OR_RETURN(frozen_,
-                         FrozenDescendants(*store_, original_, graph_));
-  analysis::InferenceOptions inference_opts = options_.inference;
-  inference_opts.exec = options_.exec;
+prore::Result<std::unique_ptr<ProgramAnalysis>> ProgramAnalysis::Build(
+    TermStore* store, const reader::Program& program,
+    const ReorderOptions& options) {
+  std::unique_ptr<ProgramAnalysis> pa(new ProgramAnalysis(store, program));
+  PRORE_ASSIGN_OR_RETURN(pa->decls_,
+                         analysis::ParseDeclarations(*store, program));
+  PRORE_ASSIGN_OR_RETURN(pa->graph_,
+                         analysis::CallGraph::Build(*store, program));
+  pa->groups_ = analysis::ComputeDependencyGroups(pa->graph_);
+  // A group's wave is one past its deepest callee group's; groups are
+  // topologically ordered, so one forward pass assigns them all.
+  std::vector<size_t> wave_of(pa->groups_.size(), 0);
+  for (size_t g = 0; g < pa->groups_.size(); ++g) {
+    for (size_t d : pa->groups_.deps[g]) {
+      wave_of[g] = std::max(wave_of[g], wave_of[d] + 1);
+    }
+    if (wave_of[g] >= pa->waves_.size()) pa->waves_.resize(wave_of[g] + 1);
+    pa->waves_[wave_of[g]].push_back(g);
+  }
   PRORE_ASSIGN_OR_RETURN(
-      modes_, analysis::InferModes(*store_, original_, graph_, decls_,
-                                   inference_opts));
-  if (options_.absint) {
+      pa->fixity_, analysis::AnalyzeFixity(*store, program, pa->graph_));
+  PRORE_ASSIGN_OR_RETURN(pa->frozen_,
+                         FrozenDescendants(*store, program, pa->graph_));
+  analysis::InferenceOptions inference_opts = options.inference;
+  inference_opts.exec = options.exec;
+  PRORE_ASSIGN_OR_RETURN(
+      pa->modes_, analysis::InferModes(*store, program, pa->graph_,
+                                       pa->decls_, inference_opts));
+  if (options.absint) {
     analysis::absint::AbsintOptions ao;
-    ao.watchdog = options_.absint_watchdog;
-    ao.exec = options_.exec;
+    ao.watchdog = options.absint_watchdog;
+    ao.exec = options.exec;
     PRORE_ASSIGN_OR_RETURN(
-        auto absint, analysis::absint::RunAbsint(*store_, original_, graph_,
-                                                 decls_, &modes_, ao));
-    absint_ =
+        auto absint, analysis::absint::RunAbsint(*store, program, pa->graph_,
+                                                 pa->decls_, &pa->modes_, ao));
+    pa->absint_ =
         std::make_unique<analysis::absint::AbsintResult>(std::move(absint));
     // Fold the groundness success patterns into the guarantee table before
     // the oracle captures it: '?' slots the local fixpoint left behind can
     // become '+'/'-' here, which admits orderings legality would otherwise
     // reject. legal_table is left alone — absint proves outputs, not that
     // an input mode is legal for a recursive predicate.
-    analysis::absint::TightenModes(*store_, absint_->groundness,
-                                   &modes_.table);
+    analysis::absint::TightenModes(*store, pa->absint_->groundness,
+                                   &pa->modes_.table);
   }
-  oracle_ = std::make_unique<analysis::LegalityOracle>(store_, &original_,
-                                                       &graph_, &modes_);
+  pa->oracle_ = std::make_unique<analysis::LegalityOracle>(
+      store, &program, &pa->graph_, &pa->modes_);
   PRORE_RETURN_IF_ERROR(analysis::RefineSemifixity(
-      *store_, original_, graph_, oracle_.get(), &fixity_));
-  costs_ = std::make_unique<cost::CostModel>(store_, &original_, &graph_,
-                                             &decls_, oracle_.get());
-  if (absint_ != nullptr) costs_->SetDeterminism(&absint_->determinism);
-  if (options_.profile != nullptr) costs_->SetEmpirical(options_.profile);
-  costs_->ArmWatchdog(options_.cost_watchdog, options_.exec);
-  search_ = std::make_unique<GoalOrderSearch>(store_, costs_.get(), &fixity_,
-                                              options_.goal_search);
-  size_t rank = 0;
-  for (const auto& scc : graph_.SccsBottomUp()) {
-    for (const PredId& p : scc) scc_rank_[p] = rank;
-    ++rank;
+      *store, program, pa->graph_, pa->oracle_.get(), &pa->fixity_));
+  pa->members_.resize(pa->groups_.size());
+  for (const PredId& p : program.pred_order()) {
+    pa->members_[pa->groups_.group_of.at(p)].push_back(p);
   }
-  // Declared-recursive predicates join the analysis's recursive set via
-  // the declarations; the call graph already found the structural ones.
-  return prore::Status::OK();
+  return pa;
 }
 
-bool Pipeline::AllowReorder(const PredId& pred) const {
-  if (options_.identity_preds.count(pred) > 0) return false;
-  if (frozen_.count(pred) > 0) return false;
-  if (options_.extra_frozen != nullptr &&
-      options_.extra_frozen->count(pred) > 0) {
-    return false;
+uint64_t ProgramAnalysis::FactsFingerprint(size_t g) const {
+  std::vector<std::pair<std::string, PredId>> members;
+  for (const PredId& p : groups_.groups[g]) {
+    members.emplace_back(reader::PredName(*store_, p), p);
   }
-  if (fixity_.IsFixed(pred)) return false;
-  if (graph_.IsRecursive(pred) &&
+  std::sort(members.begin(), members.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto rows = [](const std::vector<analysis::ModePair>& pairs) {
+    std::vector<std::string> out;
+    for (const analysis::ModePair& mp : pairs) {
+      out.push_back(analysis::ModeString(mp.input) + "->" +
+                    analysis::ModeString(mp.output));
+    }
+    std::sort(out.begin(), out.end());
+    std::string joined;
+    for (const std::string& r : out) joined += r + ";";
+    return joined;
+  };
+  uint64_t h = 0x6661637473ull;
+  for (const auto& [name, p] : members) {
+    std::string facts = name;
+    facts += "|t:" + rows(modes_.table.PairsFor(p));
+    facts += "|l:" + rows(modes_.legal_table.PairsFor(p));
+    facts += "|o:";
+    if (auto it = modes_.observed_inputs.find(p);
+        it != modes_.observed_inputs.end()) {
+      std::vector<std::string> seen;
+      for (const Mode& m : it->second) seen.push_back(analysis::ModeString(m));
+      std::sort(seen.begin(), seen.end());
+      for (const std::string& m : seen) facts += m + ";";
+    }
+    facts += "|d:";
+    if (absint_ != nullptr) {
+      analysis::absint::ForEachKeyOf(
+          absint_->determinism.keys, *store_, p,
+          [&](const std::string& key, const analysis::absint::CallKey&) {
+            auto it = absint_->determinism.by_key.find(key);
+            if (it == absint_->determinism.by_key.end()) return;
+            facts += key + "=" +
+                     std::to_string(static_cast<int>(it->second)) + ";";
+          });
+    }
+    facts += frozen_.count(p) > 0 ? "|frozen" : "|free";
+    facts += fixity_.IsFixed(p) ? "|fixed" : "|mobile";
+    if (const std::vector<bool>* culprits = fixity_.CulpritArgs(p)) {
+      facts += "|semifixed:";
+      for (bool c : *culprits) facts.push_back(c ? '1' : '0');
+    }
+    h = analysis::HashBytes(h, facts);
+  }
+  return h;
+}
+
+void ProgramAnalysis::Publish(const VersionTable& table,
+                              const std::vector<PredModeReport>& reports) {
+  for (const auto& [key, stats] : table.stats) {
+    published_stats_.emplace(key, stats);
+  }
+  for (const auto& [key, name] : table.names) {
+    published_names_.emplace(key, name);
+  }
+  AddVersions(*store_, reports, &published_versions_);
+}
+
+void AddVersions(const TermStore& store,
+                 const std::vector<PredModeReport>& reports,
+                 VersionsByName* out) {
+  for (const PredModeReport& r : reports) {
+    if (r.version_name == store.symbols().Name(r.pred.name)) continue;
+    out->emplace(r.version_name,
+                 lint::VersionInfo{r.pred, r.mode, r.version_name});
+  }
+}
+
+std::string ProgramAnalysis::AbsintReport() const {
+  return absint_ != nullptr ? analysis::absint::DumpAbsint(*absint_) : "";
+}
+
+GroupPipeline::GroupPipeline(ProgramAnalysis* analysis, size_t group,
+                             const ReorderOptions& options)
+    : pa_(analysis),
+      store_(analysis->store_),
+      original_(analysis->program_),
+      options_(options),
+      members_(analysis->members_[group]) {
+  member_set_.insert(members_.begin(), members_.end());
+  oracle_ = std::make_unique<analysis::LegalityOracle>(pa_->oracle_.get());
+  costs_ = std::make_unique<cost::CostModel>(store_, &original_, &pa_->graph_,
+                                             &pa_->decls_, oracle_.get());
+  if (pa_->absint_ != nullptr) {
+    costs_->SetDeterminism(&pa_->absint_->determinism);
+  }
+  if (options_.profile != nullptr) costs_->SetEmpirical(options_.profile);
+  // Callers are costed against their callee groups' settled stats — the
+  // reordered versions' among them — exactly as if one model had run
+  // bottom-up over the whole program.
+  const auto* published = &pa_->published_stats_;
+  costs_->SetShared(
+      [published](const std::string& key) -> const cost::PredModeStats* {
+        auto it = published->find(key);
+        return it == published->end() ? nullptr : &it->second;
+      });
+  costs_->ArmWatchdog(options_.cost_watchdog, options_.exec);
+  search_ = std::make_unique<GoalOrderSearch>(store_, costs_.get(),
+                                              &pa_->fixity_,
+                                              options_.goal_search);
+  Seed();
+}
+
+void GroupPipeline::Seed() {
+  for (const PredId& pred : members_) {
+    if (!options_.specialize_modes || pred.arity == 0 ||
+        pred.arity > options_.max_dispatch_arity ||
+        options_.identity_preds.count(pred) > 0 ||
+        options_.clause_order_only.count(pred) > 0) {
+      // Single version under the original name, ordered for the weakest
+      // assumption (all-'?') so any call stays legal. Quarantined
+      // predicates (identity / clause-order-only) always take this path.
+      AddVersion(pred, Mode(pred.arity, ModeItem::kAny));
+      continue;
+    }
+    size_t added = 0;
+    for (uint32_t bits = 0; bits < (1u << pred.arity); ++bits) {
+      Mode m(pred.arity);
+      for (uint32_t i = 0; i < pred.arity; ++i) {
+        m[i] = (bits >> i) & 1 ? ModeItem::kPlus : ModeItem::kMinus;
+      }
+      if (!oracle_->IsLegalCall(pred, m)) continue;
+      AddVersion(pred, m);
+      ++added;
+    }
+    if (added == 0) {
+      notes_.push_back(lint::Diagnostic{
+          "PL210", lint::Severity::kNote, {},
+          reader::PredName(*store_, pred),
+          "no legal {+,-} mode; emitting the predicate unspecialized"});
+      AddVersion(pred, Mode(pred.arity, ModeItem::kAny));
+    }
+  }
+}
+
+bool GroupPipeline::AllowReorder(const PredId& pred) const {
+  if (options_.identity_preds.count(pred) > 0) return false;
+  if (pa_->frozen_.count(pred) > 0) return false;
+  if (pa_->fixity_.IsFixed(pred)) return false;
+  if (pa_->graph_.IsRecursive(pred) &&
       options_.reorder_recursive_only_if_declared &&
-      !decls_.legal_modes.Has(pred)) {
+      !pa_->decls_.legal_modes.Has(pred)) {
     return false;
   }
   return true;
 }
 
-size_t Pipeline::RankOf(const PredId& pred) const {
-  auto it = scc_rank_.find(pred);
-  return it == scc_rank_.end() ? 0 : it->second;
-}
-
-std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
+void GroupPipeline::AddVersion(const PredId& pred, const Mode& mode) {
+  std::string key = Key(pred, mode);
+  if (versions_.count(key) > 0) return;
+  auto& list = versions_of_[pred];
+  if (list.size() >= options_.max_versions_per_pred) return;
   std::string name = Reorderer::VersionName(*store_, pred, mode);
   // Defensive: a user predicate may already carry a version-style name
   // (someone ran the reorderer's output through it again, or just likes
-  // the suffix). Probe until free.
-  auto taken = [&](const std::string& n) {
-    PredId id{store_->symbols().Intern(n), pred.arity};
-    if (id == pred) return false;
-    return original_.Has(id) || (options_.reserved_preds != nullptr &&
-                                 options_.reserved_preds->count(id) > 0);
-  };
-  while (taken(name)) name += "_v";
-  std::string key = Key(pred, mode);
-  if (versions_.count(key) == 0) {
-    auto& list = versions_of_[pred];
-    if (list.size() >= options_.max_versions_per_pred) {
-      return store_->symbols().Name(pred.name);  // fall back to dispatcher
-    }
-    Version v;
-    v.pred = pred;
-    v.mode = mode;
-    v.name = name;  // possibly collision-adjusted
-    versions_.emplace(key, std::move(v));
-    list.push_back(key);
-    pending_.push(Pending{RankOf(pred), enqueued_++, std::move(key)});
+  // the suffix). Probe the whole program until free.
+  for (;;) {
+    const term::Symbol sym = store_->symbols().Find(name);
+    if (sym == term::SymbolTable::kAbsent) break;
+    const PredId id{sym, pred.arity};
+    if (id == pred || !original_.Has(id)) break;
+    name += "_v";
   }
-  return name;
+  Version v;
+  v.pred = pred;
+  v.mode = mode;
+  v.name = std::move(name);
+  versions_.emplace(key, std::move(v));
+  list.push_back(key);
+  build_order_.push_back(std::move(key));
 }
 
-prore::Status Pipeline::ProcessQueue() {
-  while (!pending_.empty()) {
-    // Bottom-up: lowest SCC rank first, so callers price reordered callees.
-    // Building may enqueue more versions, so pop before building.
-    Version& v = versions_.at(pending_.top().key);
-    pending_.pop();
+std::string GroupPipeline::CalleeName(const PredId& pred,
+                                      const Mode& mode) const {
+  const std::string key = Key(pred, mode);
+  if (member_set_.count(pred) > 0) {
+    auto it = versions_.find(key);
+    if (it != versions_.end()) return it->second.name;
+  } else {
+    auto it = pa_->published_names_.find(key);
+    if (it != pa_->published_names_.end()) return it->second;
+  }
+  return store_->symbols().Name(pred.name);  // the dispatcher
+}
+
+prore::Status GroupPipeline::Plan() {
+  // Versions in seeding order: the members in program order, each mode in
+  // ascending bit order. A version's stats are pinned as soon as it is
+  // planned, so later versions of the group are costed against it.
+  for (const std::string& key : build_order_) {
+    Version& v = versions_.at(key);
     // Fault boundary: a version build that throws or fails is attributed
     // to its predicate via on_pred_error before the error propagates, so
     // the guarded pipeline (core/pipeline.h) knows whom to quarantine.
     prore::Status st;
     try {
-      st = BuildVersion(v.pred, v.mode, &v);
+      st = PlanVersion(&v);
     } catch (const std::exception& e) {
       st = prore::Status::Internal(
           prore::StrFormat("uncaught exception while building %s: %s",
@@ -278,7 +424,7 @@ prore::Status Pipeline::ProcessQueue() {
   return prore::Status::OK();
 }
 
-prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderNode(
+prore::Result<std::unique_ptr<BodyNode>> GroupPipeline::ReorderNode(
     const BodyNode& node, AbstractEnv* env, bool allow, bool* changed) {
   auto clone = std::make_unique<BodyNode>();
   clone->kind = node.kind;
@@ -360,10 +506,10 @@ prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderNode(
   return clone;
 }
 
-prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderSeq(
+prore::Result<std::unique_ptr<BodyNode>> GroupPipeline::ReorderSeq(
     const BodyNode& node, AbstractEnv* env, bool allow, bool* changed) {
   PRORE_ASSIGN_OR_RETURN(ClausePlan plan,
-                         PlanClause(*store_, node, fixity_, graph_));
+                         PlanClause(*store_, node, pa_->fixity_, pa_->graph_));
   std::vector<std::unique_ptr<BodyNode>> out_children;
   for (const Segment& segment : plan.segments) {
     std::vector<const BodyNode*> order = segment.elements;
@@ -393,7 +539,7 @@ prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderSeq(
   return conj;
 }
 
-TermRef Pipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
+TermRef GroupPipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
   goal = store_->Deref(goal);
   PredId id = store_->pred_id(goal);
   if (!options_.specialize_modes) return goal;
@@ -410,7 +556,7 @@ TermRef Pipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
     // dispatcher, whose run-time var tests pick a safe version (§V-D).
     return goal;
   }
-  std::string name = EnsureVersion(id, mode);
+  std::string name = CalleeName(id, mode);
   if (name == store_->symbols().Name(id.name)) return goal;
   term::Symbol sym = store_->symbols().Intern(name);
   if (store_->arity(goal) == 0) return store_->MakeAtom(sym);
@@ -421,7 +567,7 @@ TermRef Pipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
   return store_->MakeStruct(sym, args);
 }
 
-prore::Result<TermRef> Pipeline::EmitSeq(const BodyNode& node,
+prore::Result<TermRef> GroupPipeline::EmitSeq(const BodyNode& node,
                                          AbstractEnv* env, bool rename) {
   std::vector<TermRef> parts;
   if (node.kind == BodyKind::kConj) {
@@ -442,7 +588,7 @@ prore::Result<TermRef> Pipeline::EmitSeq(const BodyNode& node,
   return body;
 }
 
-prore::Result<TermRef> Pipeline::EmitNode(const BodyNode& node,
+prore::Result<TermRef> GroupPipeline::EmitNode(const BodyNode& node,
                                           AbstractEnv* env, bool rename) {
   switch (node.kind) {
     case BodyKind::kTrue:
@@ -527,8 +673,9 @@ prore::Result<TermRef> Pipeline::EmitNode(const BodyNode& node,
   return store_->MakeAtom(SymbolTable::kTrue);
 }
 
-prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
-                                     Version* out) {
+prore::Status GroupPipeline::PlanVersion(Version* out) {
+  const PredId pred = out->pred;
+  const Mode& mode = out->mode;
   bool allow = AllowReorder(pred);
   const bool clause_only = options_.clause_order_only.count(pred) > 0;
   const bool allow_goals = allow && !clause_only;
@@ -540,17 +687,9 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
   // no transform stages, so it is also exempt from fault injection —
   // identity must stay reachable under any fault plan.
   if (options_.identity_preds.count(pred) > 0) {
-    out->clauses = clauses;
     out->emitted_under_original_name = true;
     out->predicted_original_cost = costs_->StatsFor(pred, mode).cost_all;
     out->predicted_new_cost = out->predicted_original_cost;
-    PredModeReport report;
-    report.pred = pred;
-    report.mode = mode;
-    report.version_name = store_->symbols().Name(pred.name);
-    report.predicted_original_cost = out->predicted_original_cost;
-    report.predicted_new_cost = out->predicted_new_cost;
-    reports_.push_back(report);
     return prore::Status::OK();
   }
 
@@ -569,22 +708,14 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
     if (options_.fault != nullptr) {
       PRORE_RETURN_IF_ERROR(options_.fault->Check(pred, "clause_order"));
     }
-    PRORE_ASSIGN_OR_RETURN(
-        ClauseOrderResult co,
-        OrderClauses(*store_, original_, pred, mode, costs_.get(), fixity_));
+    PRORE_ASSIGN_OR_RETURN(ClauseOrderResult co,
+                           OrderClauses(*store_, original_, pred, mode,
+                                        costs_.get(), pa_->fixity_));
     clause_order = co.order;
     out->clauses_changed = co.changed;
   }
 
-  // Goal order per clause: phase A (reorder trees), stats, phase B (emit).
-  struct ReorderedClause {
-    TermRef head;
-    std::unique_ptr<BodyNode> tree;  // null for facts
-    /// §V-D run-time guard: a better order valid when the head arguments
-    /// are ground at run time; emitted as
-    /// `( ground(A1),... -> optimistic ; normal )`.
-    std::unique_ptr<BodyNode> optimistic_tree;
-  };
+  // Goal order per clause (phase A: reorder trees), then the stats.
   bool want_guards =
       options_.runtime_guards && allow_goals && options_.reorder_goals &&
       std::any_of(mode.begin(), mode.end(),
@@ -592,11 +723,12 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
   if (options_.fault != nullptr && allow_goals && options_.reorder_goals) {
     PRORE_RETURN_IF_ERROR(options_.fault->Check(pred, "goal_order"));
   }
-  std::vector<ReorderedClause> reordered;
+  std::vector<PlannedClause>& reordered = out->planned;
+  reordered.clear();
   bool goals_changed = false;
   for (size_t idx : clause_order) {
     const reader::Clause& clause = clauses[idx];
-    ReorderedClause rc;
+    PlannedClause rc;
     rc.head = store_->Deref(clause.head);
     TermRef body = store_->Deref(clause.body);
     bool is_fact = store_->tag(body) == Tag::kAtom &&
@@ -649,63 +781,71 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
 
   // Stats of the reordered version: combine clauses exactly the way the
   // cost model does for the original.
-  {
-    std::vector<double> clause_p, clause_c;
-    double fail_all = 1.0, sols = 0.0, cost_all = 1.0;
-    for (const ReorderedClause& rc : reordered) {
-      double match = costs_->HeadMatchProb(pred, rc.head, mode);
-      double p_body = 1.0, c_single = 0.0, c_all = 0.0, body_sols = 1.0;
-      if (rc.tree != nullptr) {
-        AbstractEnv env = analysis::EnvFromHead(*store_, rc.head, mode);
-        std::vector<const BodyNode*> seq;
-        if (rc.tree->kind == BodyKind::kConj) {
-          for (const auto& child : rc.tree->children) {
-            seq.push_back(child.get());
-          }
-        } else {
-          seq.push_back(rc.tree.get());
+  std::vector<double> clause_p, clause_c;
+  double fail_all = 1.0, sols = 0.0, cost_all = 1.0;
+  for (const PlannedClause& rc : reordered) {
+    double match = costs_->HeadMatchProb(pred, rc.head, mode);
+    double p_body = 1.0, c_single = 0.0, c_all = 0.0, body_sols = 1.0;
+    if (rc.tree != nullptr) {
+      AbstractEnv env = analysis::EnvFromHead(*store_, rc.head, mode);
+      std::vector<const BodyNode*> seq;
+      if (rc.tree->kind == BodyKind::kConj) {
+        for (const auto& child : rc.tree->children) {
+          seq.push_back(child.get());
         }
-        auto eval = costs_->EvaluateSequence(seq, env);
-        if (!eval.ok() &&
-            eval.status().code() == prore::StatusCode::kResourceExhausted) {
-          return eval.status();  // watchdog trip: abort, don't mis-estimate
-        }
-        if (eval.ok()) {
-          p_body = std::min(1.0, eval->chain.success_prob);
-          c_single = eval->chain.cost_single;
-          c_all = std::isfinite(eval->chain.cost_all_solutions)
-                      ? eval->chain.cost_all_solutions
-                      : 1e12;
-          body_sols = std::min(1e9, eval->chain.expected_solutions);
-        }
+      } else {
+        seq.push_back(rc.tree.get());
       }
-      clause_p.push_back(std::min(1.0, match * p_body));
-      clause_c.push_back(std::max(0.0, match * c_single));
-      fail_all *= 1.0 - std::min(1.0, match * p_body);
-      sols += match * body_sols;
-      cost_all += match * c_all;
+      auto eval = costs_->EvaluateSequence(seq, env);
+      if (!eval.ok() &&
+          eval.status().code() == prore::StatusCode::kResourceExhausted) {
+        return eval.status();  // watchdog trip: abort, don't mis-estimate
+      }
+      if (eval.ok()) {
+        p_body = std::min(1.0, eval->chain.success_prob);
+        c_single = eval->chain.cost_single;
+        c_all = std::isfinite(eval->chain.cost_all_solutions)
+                    ? eval->chain.cost_all_solutions
+                    : 1e12;
+        body_sols = std::min(1e9, eval->chain.expected_solutions);
+      }
     }
-    cost::PredModeStats stats;
-    stats.success_prob = std::min(1.0, std::max(0.0, 1.0 - fail_all));
-    stats.expected_solutions = sols;
-    stats.cost_single =
-        1.0 + cost::ExpectedSingleCallCost(clause_p, clause_c);
-    stats.cost_all = std::min(1e12, cost_all);
-    out->predicted_new_cost = stats.cost_all;
-    costs_->SetOverride(pred, mode, stats);
+    clause_p.push_back(std::min(1.0, match * p_body));
+    clause_c.push_back(std::max(0.0, match * c_single));
+    fail_all *= 1.0 - std::min(1.0, match * p_body);
+    sols += match * body_sols;
+    cost_all += match * c_all;
+  }
+  cost::PredModeStats stats;
+  stats.success_prob = std::min(1.0, std::max(0.0, 1.0 - fail_all));
+  stats.expected_solutions = sols;
+  stats.cost_single = 1.0 + cost::ExpectedSingleCallCost(clause_p, clause_c);
+  stats.cost_all = std::min(1e12, cost_all);
+  out->predicted_new_cost = stats.cost_all;
+  costs_->SetOverride(pred, mode, stats);
+  return prore::Status::OK();
+}
+
+prore::Status GroupPipeline::EmitVersion(Version* out) {
+  const PredId pred = out->pred;
+  const Mode& mode = out->mode;
+  out->clauses.clear();
+  if (options_.identity_preds.count(pred) > 0) {
+    out->clauses = original_.ClausesOf(pred);
+    return prore::Status::OK();
   }
 
   // Phase B: emit clause terms with goal renaming.
   if (options_.fault != nullptr) {
     PRORE_RETURN_IF_ERROR(options_.fault->Check(pred, "emit"));
   }
+  const bool clause_only = options_.clause_order_only.count(pred) > 0;
   term::Symbol version_sym = store_->symbols().Intern(out->name);
   bool rename = options_.specialize_modes && !clause_only;
   bool keep_name = !options_.specialize_modes || pred.arity == 0 ||
                    pred.arity > options_.max_dispatch_arity || clause_only;
   out->emitted_under_original_name = keep_name;
-  for (size_t i = 0; i < reordered.size(); ++i) {
-    const ReorderedClause& rc = reordered[i];
+  for (const PlannedClause& rc : out->planned) {
     reader::Clause emitted;
     if (keep_name) {
       emitted.head = rc.head;
@@ -761,21 +901,10 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
     out->clauses.pop_back();  // planted miscompile (see core/fault.h)
     ++options_.fault->fired;
   }
-
-  PredModeReport report;
-  report.pred = pred;
-  report.mode = mode;
-  report.version_name = keep_name ? store_->symbols().Name(pred.name)
-                                  : out->name;
-  report.clauses_changed = out->clauses_changed;
-  report.goals_changed = out->goals_changed;
-  report.predicted_original_cost = out->predicted_original_cost;
-  report.predicted_new_cost = out->predicted_new_cost;
-  reports_.push_back(report);
   return prore::Status::OK();
 }
 
-void Pipeline::ComputeAliases() {
+void GroupPipeline::ComputeAliases() {
   // Versions of the same predicate whose clause text is identical modulo
   // the version name collapse into one (the paper: "the reorderer produces
   // only one or two distinct versions" in many cases).
@@ -803,10 +932,21 @@ void Pipeline::ComputeAliases() {
         reader::Clause resolved = clause;
         resolved.body = RewriteAliases(clause.body);
         std::string t = reader::WriteClause(*store_, resolved, wopts);
-        // Normalize self-references.
-        size_t pos;
-        while ((pos = t.find(v.name)) != std::string::npos) {
+        // Normalize self-references: whole names only, so male_u's text
+        // keeps its call to female_u.
+        auto name_char = [](char c) {
+          return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+        };
+        for (size_t pos = t.find(v.name); pos != std::string::npos;
+             pos = t.find(v.name, pos)) {
+          const size_t end = pos + v.name.size();
+          if ((pos > 0 && name_char(t[pos - 1])) ||
+              (end < t.size() && name_char(t[end]))) {
+            pos = end;
+            continue;
+          }
           t.replace(pos, v.name.size(), "$SELF");
+          pos += 5;
         }
         text += t;
         text.push_back('\n');
@@ -847,7 +987,7 @@ void Pipeline::ComputeAliases() {
   }
   }
   if (alias_changed) {
-    diagnostics_.push_back(lint::Diagnostic{
+    notes_.push_back(lint::Diagnostic{
         "PL211", lint::Severity::kNote, {}, "",
         prore::StrFormat("alias fixpoint stopped after %zu rounds; some "
                          "duplicate versions were kept",
@@ -859,7 +999,7 @@ void Pipeline::ComputeAliases() {
 /// of ComputeAliases can merge A into B in one round and B into C in a
 /// later one, so a single map lookup may land on a name that was itself
 /// merged away.
-std::string Pipeline::ResolveAlias(std::string name) const {
+std::string GroupPipeline::ResolveAlias(std::string name) const {
   auto it = alias_.find(name);
   while (it != alias_.end()) {
     name = it->second;
@@ -868,7 +1008,7 @@ std::string Pipeline::ResolveAlias(std::string name) const {
   return name;
 }
 
-TermRef Pipeline::RewriteAliases(TermRef t) {
+TermRef GroupPipeline::RewriteAliases(TermRef t) {
   t = store_->Deref(t);
   switch (store_->tag(t)) {
     case Tag::kVar:
@@ -902,7 +1042,8 @@ TermRef Pipeline::RewriteAliases(TermRef t) {
   return t;
 }
 
-std::string Pipeline::TargetFor(const PredId& pred, const Mode& combo) const {
+std::string GroupPipeline::TargetFor(const PredId& pred,
+                                     const Mode& combo) const {
   const auto it = versions_of_.find(pred);
   if (it == versions_of_.end()) return store_->symbols().Name(pred.name);
   std::string exact = Reorderer::VersionName(*store_, pred, combo);
@@ -940,8 +1081,8 @@ std::string Pipeline::TargetFor(const PredId& pred, const Mode& combo) const {
   return store_->symbols().Name(pred.name);
 }
 
-prore::Status Pipeline::EmitDispatcher(const PredId& pred,
-                                       reader::Program* out) {
+prore::Status GroupPipeline::EmitDispatcher(
+    const PredId& pred, std::vector<reader::Clause>* out) {
   // P(X1..Xn) :- ( var(X1) -> ( var(X2) -> P_uu(..) ; P_ui(..) )
   //              ; ( var(X2) -> P_iu(..) ; P_ii(..) ) ).
   std::vector<TermRef> args(pred.arity);
@@ -1007,126 +1148,203 @@ prore::Status Pipeline::EmitDispatcher(const PredId& pred,
   } else {
     dispatcher.body = build(0, combo);
   }
-  if (!out->AddClause(*store_, dispatcher)) {
-    return prore::Status::Internal("dispatcher head not callable");
-  }
+  out->push_back(dispatcher);
   return prore::Status::OK();
 }
 
-prore::Result<reader::Program> Pipeline::Assemble() {
-  reader::Program out;
-  for (const PredId& pred : original_.pred_order()) {
-    auto it = versions_of_.find(pred);
-    if (it == versions_of_.end()) {
-      // Untouched predicate (shouldn't happen; defensive copy).
-      for (const reader::Clause& clause : original_.ClausesOf(pred)) {
-        out.AddClause(*store_, clause);
-      }
-      continue;
+prore::Result<GroupOutput> GroupPipeline::Emit() {
+  GroupOutput result;
+  for (const std::string& key : build_order_) {
+    Version& v = versions_.at(key);
+    prore::Status st;
+    try {
+      st = EmitVersion(&v);
+    } catch (const std::exception& e) {
+      st = prore::Status::Internal(
+          prore::StrFormat("uncaught exception while emitting %s: %s",
+                           reader::PredName(*store_, v.pred).c_str(),
+                           e.what()));
     }
+    if (!st.ok()) {
+      if (options_.on_pred_error) options_.on_pred_error(v.pred, st);
+      return st;
+    }
+    PredModeReport report;
+    report.pred = v.pred;
+    report.mode = v.mode;
+    report.version_name = v.emitted_under_original_name
+                              ? store_->symbols().Name(v.pred.name)
+                              : v.name;
+    report.clauses_changed = v.clauses_changed;
+    report.goals_changed = v.goals_changed;
+    report.predicted_original_cost = v.predicted_original_cost;
+    report.predicted_new_cost = v.predicted_new_cost;
+    result.reports.push_back(std::move(report));
+  }
+  if (options_.specialize_modes) ComputeAliases();
+
+  reader::Program fragment;
+  for (const PredId& pred : members_) {
+    std::vector<reader::Clause>& out =
+        result.clauses.emplace_back(pred, std::vector<reader::Clause>())
+            .second;
     bool any_specialized = false;
-    for (const std::string& key : it->second) {
+    for (const std::string& key : versions_of_.at(pred)) {
       Version& v = versions_.at(key);
-      if (!v.emitted_under_original_name &&
-          alias_.count(v.name) > 0) {
+      if (!v.emitted_under_original_name && alias_.count(v.name) > 0) {
         continue;  // merged into its canonical twin
       }
       if (!v.emitted_under_original_name) any_specialized = true;
       for (reader::Clause clause : v.clauses) {
         clause.body = RewriteAliases(clause.body);
-        if (!out.AddClause(*store_, clause)) {
-          return prore::Status::Internal("bad clause head in version");
-        }
+        out.push_back(clause);
       }
       if (v.emitted_under_original_name) break;  // one version is enough
     }
-    if (any_specialized) {
-      PRORE_RETURN_IF_ERROR(EmitDispatcher(pred, &out));
-    }
-  }
-  for (TermRef d : original_.directives()) out.AddDirective(d);
-  return out;
-}
-
-prore::Result<ReorderResult> Pipeline::Run() {
-  PRORE_RETURN_IF_ERROR(Setup());
-
-  // Seed versions.
-  for (const PredId& pred : original_.pred_order()) {
-    if (!options_.specialize_modes || pred.arity == 0 ||
-        pred.arity > options_.max_dispatch_arity ||
-        options_.identity_preds.count(pred) > 0 ||
-        options_.clause_order_only.count(pred) > 0) {
-      // Single version under the original name, ordered for the weakest
-      // assumption (all-'?') so any call stays legal. Quarantined
-      // predicates (identity / clause-order-only) always take this path.
-      EnsureVersion(pred, Mode(pred.arity, ModeItem::kAny));
-      continue;
-    }
-    uint32_t combos = 1u << pred.arity;
-    size_t added = 0;
-    for (uint32_t bits = 0; bits < combos; ++bits) {
-      Mode m(pred.arity);
-      for (uint32_t i = 0; i < pred.arity; ++i) {
-        m[i] = (bits >> i) & 1 ? ModeItem::kPlus : ModeItem::kMinus;
+    if (any_specialized) PRORE_RETURN_IF_ERROR(EmitDispatcher(pred, &out));
+    for (const reader::Clause& clause : out) {
+      if (!fragment.AddClause(*store_, clause)) {
+        return prore::Status::Internal("bad clause head in version");
       }
-      if (!oracle_->IsLegalCall(pred, m)) continue;
-      EnsureVersion(pred, m);
-      ++added;
-    }
-    if (added == 0) {
-      diagnostics_.push_back(lint::Diagnostic{
-          "PL210", lint::Severity::kNote, {},
-          reader::PredName(*store_, pred),
-          "no legal {+,-} mode; emitting the predicate unspecialized"});
-      EnsureVersion(pred, Mode(pred.arity, ModeItem::kAny));
     }
   }
-
-  PRORE_RETURN_IF_ERROR(ProcessQueue());
-  if (options_.specialize_modes) ComputeAliases();
-
-  ReorderResult result;
-  PRORE_ASSIGN_OR_RETURN(result.program, Assemble());
 
   if (options_.validate_output) {
     lint::ReorderCheckInput check;
     check.original = &original_;
-    check.transformed = &result.program;
-    for (const PredModeReport& report : reports_) {
+    check.preds = &members_;
+    check.transformed = &fragment;
+    for (const PredModeReport& report : result.reports) {
       check.versions.push_back(
           lint::VersionInfo{report.pred, report.mode, report.version_name});
     }
-    check.modes = &modes_;
+    check.callee_versions = &pa_->published_versions_;
+    check.modes = &pa_->modes_;
     check.oracle = oracle_.get();
-    check.fixity = &fixity_;
-    for (const PredId& pred : original_.pred_order()) {
+    check.fixity = &pa_->fixity_;
+    for (const PredId& pred : members_) {
       if (!AllowReorder(pred)) check.no_reorder.insert(pred);
     }
-    std::vector<lint::Diagnostic> findings =
-        lint::ValidateReorder(store_, check);
-    diagnostics_.insert(diagnostics_.end(),
-                        std::make_move_iterator(findings.begin()),
-                        std::make_move_iterator(findings.end()));
+    result.findings = lint::ValidateReorder(store_, check);
   }
 
-  result.reports = std::move(reports_);
-  result.modes = std::move(modes_);
-  result.diagnostics = std::move(diagnostics_);
-  if (absint_ != nullptr) {
-    result.absint_report = analysis::absint::DumpAbsint(*absint_);
+  costs_->ExportStats(member_set_, &result.table.stats);
+  for (const std::string& key : build_order_) {
+    const Version& v = versions_.at(key);
+    if (v.emitted_under_original_name) continue;
+    result.table.names.emplace_back(key, ResolveAlias(v.name));
   }
+  result.notes = std::move(notes_);
+  notes_.clear();
   return result;
 }
 
-}  // namespace
+void GroupPipeline::Publish(const GroupOutput& out) {
+  pa_->Publish(out.table, out.reports);
+  pa_->oracle_->Absorb(*oracle_);
+}
+
+GroupTransform::GroupTransform(ProgramAnalysis* analysis, size_t group,
+                               const ReorderOptions& options)
+    : impl_(std::make_unique<GroupPipeline>(analysis, group, options)) {}
+
+GroupTransform::~GroupTransform() = default;
+
+prore::Status GroupTransform::Plan() { return impl_->Plan(); }
+
+prore::Result<GroupOutput> GroupTransform::Emit() { return impl_->Emit(); }
+
+void GroupTransform::Publish(const GroupOutput& out) { impl_->Publish(out); }
+
+reader::Program AssembleGroups(const TermStore& store,
+                               const reader::Program& program,
+                               const std::vector<const GroupOutput*>& outs) {
+  // Where each predicate's emitted clauses live.
+  std::unordered_map<PredId, const std::vector<reader::Clause>*,
+                     term::PredIdHash>
+      emitted;
+  for (const GroupOutput* out : outs) {
+    if (out == nullptr) continue;
+    for (const auto& [pred, clauses] : out->clauses) {
+      emitted.emplace(pred, &clauses);
+    }
+  }
+  reader::Program assembled;
+  for (const PredId& pred : program.pred_order()) {
+    auto it = emitted.find(pred);
+    const std::vector<reader::Clause>& clauses =
+        it != emitted.end() ? *it->second : program.ClausesOf(pred);
+    for (const reader::Clause& clause : clauses) {
+      assembled.AddClause(store, clause);
+    }
+  }
+  for (TermRef d : program.directives()) assembled.AddDirective(d);
+  return assembled;
+}
+
+std::vector<lint::Diagnostic> MergeGroupDiagnostics(
+    const TermStore& store, const reader::Program& program,
+    const std::vector<const GroupOutput*>& outs) {
+  // The reorderer's notes in program order of their predicates (notes
+  // about no single predicate last), then every validator finding in the
+  // validator's own sort order.
+  std::unordered_map<std::string, size_t> position;
+  auto position_of = [&](const std::string& pred) {
+    if (position.empty()) {
+      for (const PredId& p : program.pred_order()) {
+        position.emplace(reader::PredName(store, p), position.size());
+      }
+    }
+    auto it = position.find(pred);
+    return it != position.end() ? it->second : position.size();
+  };
+  std::vector<std::pair<size_t, const lint::Diagnostic*>> notes;
+  lint::DiagnosticSink findings;
+  for (const GroupOutput* out : outs) {
+    if (out == nullptr) continue;
+    for (const lint::Diagnostic& d : out->notes) {
+      notes.emplace_back(position_of(d.pred), &d);
+    }
+    for (const lint::Diagnostic& d : out->findings) findings.Report(d);
+  }
+  std::stable_sort(notes.begin(), notes.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<lint::Diagnostic> merged;
+  for (const auto& [pos, d] : notes) merged.push_back(*d);
+  findings.Sort();
+  for (lint::Diagnostic& d : findings.Take()) merged.push_back(std::move(d));
+  return merged;
+}
 
 prore::Result<ReorderResult> Reorderer::Run(const reader::Program& original) {
   // A cancelled or past-deadline context never starts new work; mid-run
   // interruption happens inside the analyses via their watchdogs.
   PRORE_RETURN_IF_ERROR(options_.exec.Check());
-  Pipeline pipeline(store_, original, options_);
-  return pipeline.Run();
+  PRORE_ASSIGN_OR_RETURN(std::unique_ptr<ProgramAnalysis> pa,
+                         ProgramAnalysis::Build(store_, original, options_));
+  // Group order is topological (callees first), so each group is
+  // transformed against its callee groups' published versions.
+  const size_t n = pa->groups().size();
+  std::vector<GroupOutput> outs(n);
+  for (size_t g = 0; g < n; ++g) {
+    GroupTransform transform(pa.get(), g, options_);
+    PRORE_RETURN_IF_ERROR(transform.Plan());
+    PRORE_ASSIGN_OR_RETURN(outs[g], transform.Emit());
+    transform.Publish(outs[g]);
+  }
+  ReorderResult result;
+  std::vector<const GroupOutput*> views;
+  for (const GroupOutput& out : outs) views.push_back(&out);
+  result.program = AssembleGroups(*store_, original, views);
+  result.diagnostics = MergeGroupDiagnostics(*store_, original, views);
+  for (GroupOutput& out : outs) {
+    for (PredModeReport& r : out.reports) result.reports.push_back(r);
+  }
+  result.modes = pa->modes();
+  result.absint_report = pa->AbsintReport();
+  return result;
 }
 
 }  // namespace prore::core

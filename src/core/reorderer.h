@@ -4,9 +4,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "analysis/absint/absint.h"
 #include "analysis/callgraph.h"
+#include "analysis/fixity.h"
 #include "analysis/mode_inference.h"
 #include "analysis/modes.h"
 #include "common/result.h"
@@ -14,6 +18,7 @@
 #include "core/fault.h"
 #include "core/goal_order.h"
 #include "lint/diagnostic.h"
+#include "lint/validate.h"
 #include "reader/program.h"
 #include "term/store.h"
 
@@ -76,19 +81,6 @@ struct ReorderOptions {
   /// clauses bit-for-bit under the original name, never specialized, and
   /// calls to them anywhere are never renamed.
   analysis::PredSet identity_preds;
-  /// Additional predicates to treat as cut-frozen, on top of the
-  /// FrozenDescendants analysis of the input program (null = none). The
-  /// sharded pipeline computes frozen descendants over the WHOLE program
-  /// and injects them here, because the property flows caller -> callee: a
-  /// per-group subprogram cannot see that some outside caller guards a
-  /// group member with a cut. Shared read-only by every group's run.
-  std::shared_ptr<const analysis::PredSet> extra_frozen;
-  /// Predicate identities (by name/arity) that exist elsewhere in the full
-  /// program even though this Run's input does not define them (null =
-  /// none). Version naming probes these in addition to the input program,
-  /// so per-group shards never mint a version name that collides with
-  /// another group's predicate. Shared read-only by every group's run.
-  std::shared_ptr<const analysis::PredSet> reserved_preds;
   /// Invoked when building a predicate's version fails, just before the
   /// error propagates out of Run — the guarded pipeline uses it to learn
   /// which predicate to quarantine.
@@ -138,6 +130,152 @@ struct ReorderResult {
   /// DumpAbsint text when ReorderOptions::absint ran (for --report).
   std::string absint_report;
 };
+
+/// What a finished dependency group passes to the groups that call it (the
+/// upward flow of paper Fig. 3): the cost model's stats for each (member,
+/// mode) it settled, the reordered versions' among them, and the name
+/// each specialized version was emitted under. Plain strings and values,
+/// valid across stores, so the analysis cache can keep a copy.
+struct VersionTable {
+  /// Cost-model key ("name/arity:mode suffix") -> stats, in key order.
+  std::vector<std::pair<std::string, cost::PredModeStats>> stats;
+  /// Cost-model key -> the specialized version that calls in that mode go
+  /// to, after identical versions were merged. Build order.
+  std::vector<std::pair<std::string, std::string>> names;
+};
+
+/// One dependency group's transformation.
+struct GroupOutput {
+  /// Per member, in program order: its emitted clauses (specialized
+  /// versions, then the dispatcher under the original name).
+  std::vector<std::pair<term::PredId, std::vector<reader::Clause>>> clauses;
+  /// Per-(member, mode) reports, in build order.
+  std::vector<PredModeReport> reports;
+  /// The reorderer's own notes (PL210/PL211).
+  std::vector<lint::Diagnostic> notes;
+  /// Reorder-validator findings for the group, sorted (empty when
+  /// ReorderOptions::validate_output is off).
+  std::vector<lint::Diagnostic> findings;
+  VersionTable table;
+};
+
+/// Specialized versions by the name they were emitted under.
+using VersionsByName = std::unordered_map<std::string, lint::VersionInfo>;
+
+/// Adds the specialized versions among `reports` to `*out`.
+void AddVersions(const term::TermStore& store,
+                 const std::vector<PredModeReport>& reports,
+                 VersionsByName* out);
+
+/// The whole-program half of the reorderer, computed once per program:
+/// declarations, call graph and its dependency groups, fixity, the
+/// cut-frozen set, mode inference, abstract interpretation and the
+/// legality oracle. Every group's GroupTransform reads it; finished groups
+/// publish their VersionTable into it for the groups of later waves.
+class ProgramAnalysis {
+ public:
+  /// Runs the analyses over `program` (which must outlive the result).
+  /// Fails the way the analyses fail: a watchdog trip, cancellation, a
+  /// malformed declaration.
+  static prore::Result<std::unique_ptr<ProgramAnalysis>> Build(
+      term::TermStore* store, const reader::Program& program,
+      const ReorderOptions& options);
+
+  const reader::Program& program() const { return program_; }
+  const analysis::DependencyGroups& groups() const { return groups_; }
+  /// Group indices by wave, ascending: every callee group of a group lies
+  /// in an earlier wave, so the groups of one wave are independent.
+  const std::vector<std::vector<size_t>>& waves() const { return waves_; }
+  /// Group `g`'s predicates, in program order.
+  const std::vector<term::PredId>& members(size_t g) const {
+    return members_[g];
+  }
+  const analysis::ModeAnalysis& modes() const { return modes_; }
+
+  /// Fingerprint of the analysis facts group `g`'s transform reads about
+  /// its members: mode and legal-mode rows, observed inputs, determinism,
+  /// frozen and fixity status. Mode inference runs top-down from the entry
+  /// points, so these can change when only a caller was edited.
+  uint64_t FactsFingerprint(size_t g) const;
+
+  /// Makes a finished group's versions visible to the groups after it.
+  void Publish(const VersionTable& table,
+               const std::vector<PredModeReport>& reports);
+
+  /// Every specialized version published so far.
+  const VersionsByName& published_versions() const {
+    return published_versions_;
+  }
+
+  /// DumpAbsint text (empty when absint is off).
+  std::string AbsintReport() const;
+
+ private:
+  friend class GroupPipeline;
+  ProgramAnalysis(term::TermStore* store, const reader::Program& program)
+      : store_(store), program_(program) {}
+
+  term::TermStore* store_;
+  const reader::Program& program_;
+  analysis::Declarations decls_;
+  analysis::CallGraph graph_;
+  analysis::DependencyGroups groups_;
+  /// Each group's predicates, in program order.
+  std::vector<std::vector<term::PredId>> members_;
+  std::vector<std::vector<size_t>> waves_;
+  analysis::FixityResult fixity_;
+  analysis::PredSet frozen_;
+  analysis::ModeAnalysis modes_;
+  std::unique_ptr<analysis::absint::AbsintResult> absint_;
+  /// Answers every group's oracle reads first; grows between waves.
+  std::unique_ptr<analysis::LegalityOracle> oracle_;
+  std::unordered_map<std::string, cost::PredModeStats> published_stats_;
+  std::unordered_map<std::string, std::string> published_names_;
+  VersionsByName published_versions_;
+};
+
+class GroupPipeline;
+
+/// Transforms one dependency group against the shared ProgramAnalysis and
+/// the versions its callee groups published: every caller is ordered
+/// against its callees' reordered, mode-specialized versions (paper
+/// §VI-VII). `options` carries the ladder sets (identity_preds,
+/// clause_order_only) and budgets of this attempt.
+class GroupTransform {
+ public:
+  GroupTransform(ProgramAnalysis* analysis, size_t group,
+                 const ReorderOptions& options);
+  ~GroupTransform();
+
+  /// Clause and goal order and predicted stats of every version. Reads the
+  /// shared analyses and the store's existing terms only, so the groups of
+  /// one wave may Plan concurrently.
+  prore::Status Plan();
+  /// Emits versions and dispatchers into the store, merges identical
+  /// versions and validates the group. Mints terms: one group at a time,
+  /// with no Plan running.
+  prore::Result<GroupOutput> Emit();
+  /// Publishes `out` (this transform's Emit result) to later groups and
+  /// hands the group's legality answers to the shared oracle.
+  void Publish(const GroupOutput& out);
+
+ private:
+  std::unique_ptr<GroupPipeline> impl_;
+};
+
+/// Concatenates group outputs into one program in `program`'s predicate
+/// order: versions and dispatcher of each predicate where the predicate
+/// stood, then the directives. Groups without an output contribute the
+/// original clauses of their predicates.
+reader::Program AssembleGroups(const term::TermStore& store,
+                               const reader::Program& program,
+                               const std::vector<const GroupOutput*>& outs);
+
+/// The groups' diagnostics as one list: the reorderer's notes in program
+/// order of their predicates, then every validator finding, sorted.
+std::vector<lint::Diagnostic> MergeGroupDiagnostics(
+    const term::TermStore& store, const reader::Program& program,
+    const std::vector<const GroupOutput*>& outs);
 
 /// The reordering system: ties together the restriction analyses (§IV),
 /// the legal-mode machinery (§V) and the Markov-chain order search (§VI)

@@ -75,7 +75,18 @@ void CostModel::SetOverride(const PredId& id, const Mode& mode,
                             const PredModeStats& stats) {
   PredModeStats s = stats;
   ClampWithDeterminism(id, mode, &s);
-  memo_[Key(id, mode)] = s;
+  memo_[Key(id, mode)] = MemoEntry{id, s};
+}
+
+void CostModel::ExportStats(
+    const analysis::PredSet& preds,
+    std::vector<std::pair<std::string, PredModeStats>>* out) const {
+  const size_t first = out->size();
+  for (const auto& [key, entry] : memo_) {
+    if (preds.count(entry.pred) > 0) out->emplace_back(key, entry.stats);
+  }
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void CostModel::ClampWithDeterminism(const PredId& id, const Mode& mode,
@@ -232,7 +243,10 @@ PredModeStats CostModel::StatsFor(const PredId& id, const Mode& mode) {
     return s;
   }
   std::string key = Key(id, mode);
-  if (auto it = memo_.find(key); it != memo_.end()) return it->second;
+  if (auto it = memo_.find(key); it != memo_.end()) return it->second.stats;
+  if (shared_) {
+    if (const PredModeStats* s = shared_(key)) return *s;
+  }
 
   // Declared stats take precedence (the paper's escape hatch for
   // recursion) — unless a recorded profile covers the predicate:
@@ -249,7 +263,7 @@ PredModeStats CostModel::StatsFor(const PredId& id, const Mode& mode) {
     s.cost_all = ClampCost(2.0 * c);
     s.expected_solutions = std::max(s.success_prob, 1.0 * s.success_prob);
     ClampWithDeterminism(id, mode, &s);
-    memo_[key] = s;
+    memo_[key] = MemoEntry{id, s};
     return s;
   }
 
@@ -268,7 +282,7 @@ PredModeStats CostModel::StatsFor(const PredId& id, const Mode& mode) {
     // A few refinement rounds so the recursive call sees an estimate that
     // came from the clauses rather than from thin air.
     for (int round = 0; round < 3; ++round) {
-      memo_[key] = stats;
+      memo_[key] = MemoEntry{id, stats};
       PredModeStats next = ComputePredStats(id, mode);
       bool close = std::fabs(next.cost_all - stats.cost_all) <
                        0.01 * (1.0 + stats.cost_all) &&
@@ -279,7 +293,7 @@ PredModeStats CostModel::StatsFor(const PredId& id, const Mode& mode) {
   }
   in_progress_.erase(key);
   ClampWithDeterminism(id, mode, &stats);
-  memo_[key] = stats;
+  memo_[key] = MemoEntry{id, stats};
   return stats;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PRORE_COST_COST_MODEL_H_
 #define PRORE_COST_COST_MODEL_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -111,6 +112,20 @@ class CostModel {
   void SetOverride(const term::PredId& id, const analysis::Mode& mode,
                    const PredModeStats& stats);
 
+  /// Stats another model already settled, by memo key ("name/arity:mode");
+  /// null = not known there. Consulted after this model's own memo and
+  /// before computing: the reorderer's dependency groups read their callee
+  /// groups' published stats this way. Must be set before the first
+  /// StatsFor, and what it answers must not change while the model runs.
+  using SharedStats = std::function<const PredModeStats*(const std::string&)>;
+  void SetShared(SharedStats shared) { shared_ = std::move(shared); }
+
+  /// Appends this model's memo entries for predicates in `preds` — the
+  /// stats it computed or pinned — as (memo key, stats), in key order.
+  void ExportStats(const analysis::PredSet& preds,
+                   std::vector<std::pair<std::string, PredModeStats>>* out)
+      const;
+
   /// Feeds determinism/cardinality bounds into every subsequent StatsFor
   /// and SetOverride: a provably failing (pred, mode) gets success_prob and
   /// expected_solutions 0, a det/semidet one has expected_solutions clamped
@@ -214,7 +229,12 @@ class CostModel {
   const EmpiricalProfile* empirical_ = nullptr;
 
   prore::Watchdog watchdog_;
-  std::unordered_map<std::string, PredModeStats> memo_;
+  SharedStats shared_;
+  struct MemoEntry {
+    term::PredId pred;
+    PredModeStats stats;
+  };
+  std::unordered_map<std::string, MemoEntry> memo_;
   std::unordered_set<std::string> in_progress_;
   std::unordered_map<term::PredId, Domains, term::PredIdHash> domains_;
 };

@@ -87,17 +87,28 @@ class Validator {
 
   /// The original predicate a (possibly version-renamed) callee denotes.
   PredId MapCallee(const PredId& callee) const {
-    auto it = by_name_.find(store_->symbols().Name(callee.name));
-    if (it != by_name_.end() && it->second->pred.arity == callee.arity) {
-      return it->second->pred;
-    }
+    const VersionInfo* v = VersionNamed(store_->symbols().Name(callee.name));
+    if (v != nullptr && v->pred.arity == callee.arity) return v->pred;
     return callee;
+  }
+
+  /// The version emitted under `name`, here or in a callee group.
+  const VersionInfo* VersionNamed(const std::string& name) const {
+    auto it = by_name_.find(name);
+    if (it != by_name_.end()) return it->second;
+    if (in_.callee_versions != nullptr) {
+      auto cit = in_.callee_versions->find(name);
+      if (cit != in_.callee_versions->end()) return &cit->second;
+    }
+    return nullptr;
   }
 
   // ---- PL103: predicate coverage ------------------------------------------
 
   void CheckCoverage() {
-    for (const PredId& pred : in_.original->pred_order()) {
+    for (const PredId& pred : in_.preds != nullptr
+                                  ? *in_.preds
+                                  : in_.original->pred_order()) {
       if (!in_.transformed->Has(pred)) {
         Report("PL103", Severity::kError, {}, NameOf(pred),
                "predicate has no definition in the transformed program");
@@ -713,12 +724,12 @@ class Validator {
     if (bare == "=" && callee.arity == 2) return;
     Mode call_mode = env.CallModeOf(*store_, g);
 
-    auto it = by_name_.find(bare);
-    if (it != by_name_.end() && it->second->pred.arity == callee.arity) {
+    const VersionInfo* version = VersionNamed(bare);
+    if (version != nullptr && version->pred.arity == callee.arity) {
       if (collecting_baseline_) return;  // originals never call versions
       // Direct call to a specialized version: every '+' the version
       // assumes must be provably instantiated here.
-      const Mode& assumed = it->second->mode;
+      const Mode& assumed = version->mode;
       for (size_t i = 0; i < assumed.size() && i < call_mode.size(); ++i) {
         if (assumed[i] == ModeItem::kPlus &&
             call_mode[i] != ModeItem::kPlus) {

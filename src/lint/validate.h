@@ -2,6 +2,7 @@
 #define PRORE_LINT_VALIDATE_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/callgraph.h"
@@ -32,6 +33,14 @@ struct ReorderCheckInput {
   const reader::Program* original = nullptr;
   const reader::Program* transformed = nullptr;
   std::vector<VersionInfo> versions;
+  /// The original predicates `transformed` must define (null = every
+  /// predicate of `original`). The reorderer checks one dependency group
+  /// at a time: `original` is the whole program, `preds` the group.
+  const std::vector<term::PredId>* preds = nullptr;
+  /// Versions defined outside `transformed` that its bodies may call —
+  /// the callee groups' versions — by version name (may be null).
+  const std::unordered_map<std::string, VersionInfo>* callee_versions =
+      nullptr;
   const analysis::ModeAnalysis* modes = nullptr;   // may be null
   analysis::LegalityOracle* oracle = nullptr;      // may be null
   const analysis::FixityResult* fixity = nullptr;  // may be null

@@ -123,7 +123,7 @@ prore::Result<PredHashMap> ComputeProfileHashes(
   // clauses no matter which tool computes it (the profile's staleness key
   // must not depend on reorder options or pipeline state).
   analysis::ContentHashes hashes =
-      analysis::ComputeContentHashes(store, program, groups, nullptr, 0);
+      analysis::ComputeContentHashes(store, program, groups, 0);
   return std::move(hashes.pred_hash);
 }
 

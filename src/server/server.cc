@@ -698,6 +698,8 @@ JsonValue Server::DoReorder(const JsonValue& req,
     core::GuardedPipeline pipeline(&store, std::move(po));
     auto result = pipeline.Run(*program);
     if (!result.ok()) return StatusReply(req, result.status());
+    stat_reorder_analyses_.fetch_add(result->report.analysis_runs,
+                                     std::memory_order_relaxed);
 
     JsonValue r = MakeReply(req, "ok");
     r.Set("program",
@@ -857,7 +859,9 @@ JsonValue Server::DoStats(const JsonValue& req) {
   cache.Set("invalidations", num(s.cache.invalidations));
   cache.Set("evictions", num(s.cache.evictions));
   cache.Set("entries", num(s.cache.entries));
+  cache.Set("program_hits", num(s.cache.program_hits));
   st.Set("cache", std::move(cache));
+  st.Set("reorder_analyses", num(s.reorder_analyses));
   r.Set("stats", std::move(st));
   return r;
 }
@@ -893,6 +897,8 @@ ServerStatsSnapshot Server::Stats() const {
   s.cancelled = stat_cancelled_.load(std::memory_order_relaxed);
   s.protocol_errors = stat_protocol_errors_.load(std::memory_order_relaxed);
   s.answers_streamed = stat_answers_.load(std::memory_order_relaxed);
+  s.reorder_analyses =
+      stat_reorder_analyses_.load(std::memory_order_relaxed);
   s.inflight = inflight_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);

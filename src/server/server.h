@@ -82,6 +82,9 @@ struct ServerStatsSnapshot {
   uint64_t cancelled = 0;
   uint64_t protocol_errors = 0;  ///< bad JSON, oversized/truncated frames
   uint64_t answers_streamed = 0;
+  /// Whole-program analysis set-ups run by reorders (0 for a reorder whose
+  /// every group the analysis cache's program-level entry adopted).
+  uint64_t reorder_analyses = 0;
   size_t sessions = 0;
   size_t inflight = 0;
   core::AnalysisCache::Stats cache;
@@ -212,6 +215,7 @@ class Server {
   std::atomic<uint64_t> stat_cancelled_{0};
   std::atomic<uint64_t> stat_protocol_errors_{0};
   std::atomic<uint64_t> stat_answers_{0};
+  std::atomic<uint64_t> stat_reorder_analyses_{0};
 };
 
 }  // namespace prore::server

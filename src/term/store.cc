@@ -194,38 +194,6 @@ void TermStore::CloneFrom(const TermStore& src) {
   var_names_ = src.var_names_;
 }
 
-TermRef TermStore::CopyFrom(const TermStore& src, TermRef t,
-                            std::unordered_map<uint32_t, TermRef>* var_map) {
-  std::unordered_map<uint32_t, TermRef> local;
-  if (var_map == nullptr) var_map = &local;
-  t = src.Deref(t);
-  switch (src.tag(t)) {
-    case Tag::kVar: {
-      uint32_t id = src.var_id(t);
-      auto it = var_map->find(id);
-      if (it != var_map->end()) return it->second;
-      TermRef fresh = MakeVar(src.var_name(t));
-      var_map->emplace(id, fresh);
-      return fresh;
-    }
-    case Tag::kAtom:
-      return MakeAtom(symbols_.Intern(src.symbols().Name(src.symbol(t))));
-    case Tag::kInt:
-      return MakeInt(src.int_value(t));
-    case Tag::kFloat:
-      return MakeFloat(src.float_value(t));
-    case Tag::kStruct: {
-      std::vector<TermRef> new_args(src.arity(t));
-      for (uint32_t i = 0; i < src.arity(t); ++i) {
-        new_args[i] = CopyFrom(src, src.arg(t, i), var_map);
-      }
-      return MakeStruct(symbols_.Intern(src.symbols().Name(src.symbol(t))),
-                        new_args);
-    }
-  }
-  return kNullTerm;
-}
-
 bool TermStore::Equal(TermRef a, TermRef b) const {
   a = Deref(a);
   b = Deref(b);

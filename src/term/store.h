@@ -172,22 +172,6 @@ class TermStore {
   /// clones the frozen snapshot arena as its private, bindable heap.
   void CloneFrom(const TermStore& src);
 
-  /// Makes this (empty) store's symbol table borrow `src`'s (see
-  /// SymbolTable::Borrow), so Symbols and PredIds are interchangeable
-  /// between the two stores without copying any term cells or names. The
-  /// per-group pipeline workers use this: predicate sets computed on the
-  /// shared store stay valid in the worker's. `src` must outlive this store
-  /// and must not intern while a worker reads it; interning into it later
-  /// (the merge does) is safe, since ids this store has seen never change.
-  void AdoptSymbols(const TermStore& src) { symbols_.Borrow(src.symbols_); }
-
-  /// Copies `t` (a term of `src`, dereferenced on the fly) into this store.
-  /// Symbols are re-interned by name, so the stores need not agree on ids.
-  /// `var_map` maps src var id -> local term and lets several terms (head +
-  /// body of one clause) share variables; pass nullptr for a private map.
-  TermRef CopyFrom(const TermStore& src, TermRef t,
-                   std::unordered_map<uint32_t, TermRef>* var_map = nullptr);
-
   /// The id the next MakeVar will receive. Clause-skeleton compilation uses
   /// this to record the dense id range a Rename pass produced.
   uint32_t next_var_id() const { return next_var_id_; }

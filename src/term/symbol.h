@@ -16,10 +16,6 @@ using Symbol = uint32_t;
 
 /// Interns names to Symbols. A handful of names the engine and reorderer
 /// treat specially (',', ':-', '!', ...) are pre-interned with fixed ids.
-///
-/// A table may borrow another (Borrow): the ids the base had at that moment
-/// resolve through the base, and names the borrower interns itself get ids
-/// from the base's size upwards in a small local overlay.
 class SymbolTable {
  public:
   SymbolTable();
@@ -35,20 +31,10 @@ class SymbolTable {
   /// so PredIds and Symbols are interchangeable between the two.
   void CloneFrom(const SymbolTable& other);
 
-  /// Makes this table a view of `base` without copying it: every id below
-  /// base.size() (taken now) names what it names in `base`, and new names
-  /// get ids from there upwards. Two invariants make that sound: `base` only
-  /// ever appends, so those ids stay valid while it keeps growing, and
-  /// nothing interns into `base` while another thread reads it through this
-  /// table. `base` must outlive this table; it may itself borrow.
-  void Borrow(const SymbolTable& base);
-
   /// The name of an interned symbol.
-  const std::string& Name(Symbol s) const {
-    return s < base_size_ ? base_->Name(s) : names_[s - base_size_];
-  }
+  const std::string& Name(Symbol s) const { return names_[s]; }
 
-  size_t size() const { return base_size_ + names_.size(); }
+  size_t size() const { return names_.size(); }
 
   // Pre-interned symbols, in interning order (see constructor).
   // clang-format off
@@ -68,15 +54,14 @@ class SymbolTable {
   static constexpr Symbol kMinus    = 13;  // -
   // clang-format on
 
- private:
   static constexpr Symbol kAbsent = 0xFFFFFFFFu;
 
-  /// The Symbol of an interned `name`, kAbsent if there is none.
+  /// The Symbol of an interned `name`, kAbsent if there is none. Never
+  /// interns, so it is safe wherever the table is only read.
   Symbol Find(const std::string& name) const;
 
-  const SymbolTable* base_ = nullptr;
-  Symbol base_size_ = 0;  ///< ids below this resolve through base_
-  std::vector<std::string> names_;  ///< ids base_size_, base_size_ + 1, ...
+ private:
+  std::vector<std::string> names_;  ///< indexed by Symbol
   std::unordered_map<std::string, Symbol> index_;
 };
 

@@ -2,8 +2,8 @@
 // the worklist solver's fixpoints (groundness + determinism), widening
 // termination on recursive SCCs, builtin/library seeding, mode tightening,
 // the exclusivity-witness computation, and determinism of the whole run
-// (identical results regardless of solve order, the property the sharded
-// pipeline's jobs=1 vs jobs=N bit-identity rests on).
+// (identical results regardless of solve order, the property the
+// pipeline's bit-identity across jobs values rests on).
 
 #include <gtest/gtest.h>
 

@@ -365,7 +365,7 @@ TEST(ChaosPipelineTest, ExpiredDeadlineShipsIdentityAcrossJobCounts) {
 }
 
 TEST(ChaosPipelineTest, JobsNOutputBitIdenticalWithContextLayerArmed) {
-  // The cancellation layer being threaded through the sharded pipeline
+  // The cancellation layer being threaded through the pipeline's waves
   // must not perturb determinism: a live (never-fired) token and a far
   // deadline produce byte-identical output across jobs counts.
   PipelineChaosFixture fx;

@@ -213,6 +213,25 @@ TEST_F(PipelineTest, SpecializationEmitsVersionsAndDispatcher) {
   EXPECT_TRUE(reparsed.ok()) << reparsed.status().ToString();
 }
 
+// male_u's and male_i's bodies are the same call to female_u once
+// female_i is merged into female_u, so the two versions merge too; that
+// female_u contains the text "male_u" must not keep them apart.
+TEST_F(PipelineTest, IdenticalVersionsMergeWhateverTheirCalleesAreNamed) {
+  Load(R"(
+girl(ann).
+girl(sue).
+female(X) :- girl(X).
+male(X) :- \+ female(X).
+)");
+  ReorderResult r = Reorder();
+  std::string text = reader::WriteProgram(store_, r.program);
+  EXPECT_NE(text.find("male_u(X) :-"), std::string::npos) << text;
+  EXPECT_EQ(text.find("male_i("), std::string::npos) << text;
+  EXPECT_EQ(text.find("female_i("), std::string::npos) << text;
+  EXPECT_TRUE(Compare(r, "male(X)").set_equivalent);
+  EXPECT_TRUE(Compare(r, "male(ann)").set_equivalent);
+}
+
 TEST_F(PipelineTest, NonSpecializedModeKeepsNames) {
   Load(kGrandmotherProgram);
   ReorderOptions opts;

@@ -25,17 +25,23 @@ std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
 // Counting global allocator. Only the count is instrumented; allocation
-// behavior is unchanged.
+// behavior is unchanged. The deletes stay out of line: inlined, g++ 12
+// pairs their free() with the `new` expressions of callers and reports a
+// mismatched deallocation (-Wmismatched-new-delete) that is not there.
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace prore {
 namespace {

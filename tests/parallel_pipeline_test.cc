@@ -1,16 +1,19 @@
-// Tests of the parallel optimization pipeline (core/pipeline.h jobs > 0):
-// SCC dependency groups come out in valid topological order, sharded runs
-// are bit-identical to the sequential pipeline for every worker count, and
-// a fault injected into one dependency group quarantines only that group
-// while the rest of the program is optimized at full strength. A golden
-// test pins the written output of a layered program at jobs=0, 1 and 4,
-// another what a sharded run past its deadline writes and reports. A
-// second run over a shared analysis cache adopts every group.
+// Tests of the parallel optimization pipeline (core/pipeline.h): SCC
+// dependency groups come out in valid topological order, every jobs value
+// writes the same program, report and workload calls — at whole-program
+// quality, callers ordered against their callees' specialized versions —
+// and a fault injected into one dependency group quarantines only that
+// group while the rest of the program is optimized at full strength. A
+// golden test pins the written output of a layered program at jobs=0, 1
+// and 4, another what a run past its deadline writes and reports. A second
+// run over a shared analysis cache adopts every group, and an edit that
+// changes only how a caller calls an unchanged callee group does not
+// replay that group's stale entry.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <regex>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,7 +27,9 @@
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/pipeline.h"
+#include "engine/machine.h"
 #include "programs/programs.h"
+#include "programs/workload_runner.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
 #include "term/store.h"
@@ -78,9 +83,9 @@ const PredOutcome* FindOutcome(const core::PipelineReport& report,
 }
 
 /// stage_error hook failing `pred_name` at `stage` ("*" = every stage).
-/// The closure only touches original PredIds (the pipeline checks faults
-/// before renaming), whose symbol ids are identical in every per-group
-/// adopted store — safe to call from sharded worker threads.
+/// The closure only reads original PredIds (the pipeline checks faults
+/// before renaming) and the store's symbol table, which no one writes
+/// while groups plan — safe to call from the pipeline's worker threads.
 TransformFaultPlan FaultFor(const TermStore& store,
                             const std::string& pred_name,
                             const std::string& stage) {
@@ -166,7 +171,7 @@ TEST(DependencyGroupsTest, MutualRecursionSharesOneGroup) {
 }
 
 TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
-  // Reference: jobs=1 (sharded code path, inline execution).
+  // Reference: jobs=1 (inline execution).
   std::string reference_text;
   std::string reference_report;
   {
@@ -200,29 +205,24 @@ TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelPipelineTest, ShardedAgreesWithClassicOnAnswers) {
-  // Sharded output is not textually identical to the classic jobs=0
-  // whole-program pipeline — cross-group calls route through the owning
-  // group's original-name dispatcher instead of being specialized at the
-  // call site, and each group is optimized against its own cone — but
-  // both must preserve the original program's answer sets.
-  {
+  // jobs=0 is no separate pipeline: it runs the groups inline like
+  // jobs=1, so it writes the same text as a pooled run, and both preserve
+  // the original program's answer sets.
+  std::string texts[2];
+  const size_t jobs[2] = {0, 2};
+  for (int i = 0; i < 2; ++i) {
     TermStore store;
     auto program = reader::ParseProgramText(&store, kMultiCluster);
     ASSERT_TRUE(program.ok());
-    GuardedPipeline pipeline(&store);  // jobs = 0: whole-program
+    PipelineOptions options;
+    options.jobs = jobs[i];
+    GuardedPipeline pipeline(&store, options);
     auto result = pipeline.Run(*program);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSetEquivalent(&store, *program, result->program);
+    texts[i] = reader::WriteProgram(store, result->program);
   }
-  TermStore store;
-  auto program = reader::ParseProgramText(&store, kMultiCluster);
-  ASSERT_TRUE(program.ok());
-  PipelineOptions options;
-  options.jobs = 2;
-  GuardedPipeline pipeline(&store, options);
-  auto result = pipeline.Run(*program);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSetEquivalent(&store, *program, result->program);
+  EXPECT_EQ(texts[0], texts[1]);
 }
 
 TEST(ParallelPipelineTest, FaultQuarantinesOnlyItsGroup) {
@@ -335,12 +335,12 @@ std::string Rendered(const TermStore& store, const core::PipelineResult& r) {
   return out;
 }
 
-// Digests of Rendered() for LayeredProgram(7, 75, 5), recorded when the
-// order queue was still a linear scan and every shard copied the
-// whole-program sets. Any change to the order in which versions are built,
-// to the written text, or to what a shard sees changes them.
-constexpr uint64_t kGoldenWhole = 16474549855009735601ull;
-constexpr uint64_t kGoldenSharded = 6864218736105261043ull;
+// Digest of Rendered() for LayeredProgram(7, 75, 5), recorded when the
+// order queue was still a linear scan and jobs=0 ran a separate whole-
+// program pipeline. Any change to the order in which versions are built,
+// to the written text, or to what a group sees of its callees changes it;
+// every jobs value must reproduce it.
+constexpr uint64_t kGolden = 16474549855009735601ull;
 
 TEST(ParallelPipelineTest, LayeredOutputMatchesGoldenDigests) {
   const std::string source = LayeredProgram(7, 75, 5);
@@ -354,20 +354,15 @@ TEST(ParallelPipelineTest, LayeredOutputMatchesGoldenDigests) {
     auto result = GuardedPipeline(&store, options).Run(*program);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_FALSE(result->report.degraded()) << "jobs=" << jobs;
-    const uint64_t digest = Fnv1a(Rendered(store, *result));
-    EXPECT_EQ(digest, jobs == 0 ? kGoldenWhole : kGoldenSharded)
-        << "jobs=" << jobs;
+    EXPECT_EQ(Fnv1a(Rendered(store, *result)), kGolden) << "jobs=" << jobs;
   }
 }
 
-// report.ToJson() and the output digest of the run below, recorded when a
-// group past the deadline still set up its store (a copy of the symbol
-// table and of its cone) and only then met the deadline in its own
-// pipeline. Skipping that set-up must not change what the run reports or
-// writes.
+// report.ToJson() of the run below: a run past its deadline starts no
+// work and ships the identity program, with the reason on record.
 constexpr char kExpiredDeadlineReport[] =
     "{\"runs\":1,\"degraded\":true,\"quarantined\":12,"
-    "\"global_trigger\":\"group 0: ResourceExhausted: deadline exceeded\","
+    "\"global_trigger\":\"ResourceExhausted: deadline exceeded\","
     "\"unfold_disabled\":false,\"unfold_trigger\":\"\","
     "\"factor_disabled\":false,\"factor_trigger\":\"\","
     "\"absint_disabled\":false,\"absint_trigger\":\"\",\"preds\":["
@@ -407,7 +402,6 @@ constexpr char kExpiredDeadlineReport[] =
     ",{\"pred\":\"top2/2\",\"level\":\"identity\",\"attempts\":1,"
     "\"retries\":0,\"fault_class\":\"\",\"clauses_changed\":false,"
     "\"goals_changed\":false,\"triggers\":[]}]}";
-constexpr uint64_t kExpiredDeadlineDigest = 7815415177444079671ull;
 
 TEST(ParallelPipelineTest, ExpiredDeadlineShipsIdentityWithUnchangedReport) {
   const std::string source = LayeredProgram(13, 3, 3);
@@ -420,15 +414,11 @@ TEST(ParallelPipelineTest, ExpiredDeadlineShipsIdentityWithUnchangedReport) {
   auto result = GuardedPipeline(&store, options).Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // The identity program: the original text, up to the numbering of the
-  // anonymous variables the copies renew.
-  const std::regex anon("_G[0-9]+");
-  const std::string written = reader::WriteProgram(store, result->program);
-  EXPECT_EQ(std::regex_replace(written, anon, "_"),
-            std::regex_replace(reader::WriteProgram(store, *program), anon,
-                               "_"));
+  // The identity program: the original clauses themselves, so the text is
+  // the original's to the byte.
+  EXPECT_EQ(reader::WriteProgram(store, result->program),
+            reader::WriteProgram(store, *program));
   EXPECT_EQ(result->report.ToJson(), kExpiredDeadlineReport);
-  EXPECT_EQ(Fnv1a(written), kExpiredDeadlineDigest);
 }
 
 // The analysis cache must keep its own hits: a second jobs=1 run over the
@@ -469,6 +459,117 @@ TEST(ParallelPipelineTest, SecondRunWithSharedCacheAdoptsEveryGroup) {
     }
     EXPECT_EQ(cache.stats().invalidations, 0u);
   }
+}
+
+/// Calls made by `bench`'s workload against `source` (a reordered text).
+uint64_t WorkloadCalls(const programs::BenchmarkProgram& bench,
+                       const std::string& source) {
+  programs::BenchmarkProgram copy = bench;
+  copy.source = source;
+  auto run = programs::RunWorkload(copy, engine::SolveOptions());
+  EXPECT_TRUE(run.ok()) << bench.name << ": " << run.status().ToString();
+  return run.ok() ? run->metrics.TotalCalls() : 0;
+}
+
+// One pipeline path: jobs=0, 1 and 4 write the same program and report,
+// and the corpus runs its workloads in no more calls than the whole-
+// program pipeline did before the paths were merged (ROADMAP, jobs=0
+// column) — callers now call their callees' specialized versions.
+TEST(ParallelPipelineTest, OnePathSameOutputAtEveryJobCount) {
+  const std::map<std::string, uint64_t> whole_program_calls = {
+      {"family_tree", 240578}, {"corporate", 3191}, {"meal", 813},
+      {"team", 3273},          {"geography", 1186}, {"p58", 561},
+      {"kmbench", 516}};
+  std::vector<const programs::BenchmarkProgram*> benches =
+      programs::AllPrograms();
+  const programs::BenchmarkProgram layered{
+      "layered", LayeredProgram(7, 75, 5), {}, {}, {}};
+  benches.push_back(&layered);
+  for (const programs::BenchmarkProgram* bench : benches) {
+    SCOPED_TRACE(bench->name);
+    std::string text0, json0;
+    uint64_t calls0 = 0;
+    for (size_t jobs : {size_t{0}, size_t{1}, size_t{4}}) {
+      TermStore store;
+      auto program = reader::ParseProgramText(&store, bench->source);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      PipelineOptions options;
+      options.jobs = jobs;
+      auto result = GuardedPipeline(&store, options).Run(*program);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string text = reader::WriteProgram(store, result->program);
+      const std::string json = result->report.ToJson();
+      const uint64_t calls = bench->mode_workloads.empty() &&
+                                     bench->query_workloads.empty()
+                                 ? 0
+                                 : WorkloadCalls(*bench, text);
+      if (jobs == 0) {
+        text0 = text;
+        json0 = json;
+        calls0 = calls;
+        auto it = whole_program_calls.find(bench->name);
+        if (it != whole_program_calls.end()) {
+          EXPECT_LE(calls, it->second);
+        }
+        continue;
+      }
+      EXPECT_EQ(text, text0) << "jobs=" << jobs;
+      EXPECT_EQ(json, json0) << "jobs=" << jobs;
+      EXPECT_EQ(calls, calls0) << "jobs=" << jobs;
+    }
+  }
+}
+
+// Mode inference runs top-down from the entry points, so editing only a
+// caller can change the modes — and with them the legal modes, hence the
+// versions — of a callee group whose clauses did not change. Such a group
+// must not be replayed from the entry its old callers produced: the next
+// cached run equals a cold run on a fresh cache.
+TEST(ParallelPipelineTest, CallerEditDoesNotReplayStaleCalleeEntry) {
+  // query/0 is a declared entry, so the modes it calls path/2 in are
+  // legal modes of the recursive path/2.
+  const std::string facts =
+      ":- mode(query).\n"
+      "edge(a, b).\nedge(b, c).\nedge(c, d).\n"
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Y) :- edge(X, Z), path(Z, Y).\n"
+      "colour(red).\ncolour(blue).\n";
+  const std::string before =
+      facts + "query :- path(a, Y), Y == d, colour(C), C == red.\n";
+  const std::string after =
+      facts + "query :- path(X, d), X == a, colour(C), C == red.\n";
+  auto run = [](const std::string& source, core::AnalysisCache* cache,
+                core::PipelineReport* report) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, source);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    PipelineOptions options;
+    options.jobs = 1;
+    options.cache = cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return std::string();
+    if (report != nullptr) *report = result->report;
+    return reader::WriteProgram(store, result->program);
+  };
+
+  core::AnalysisCache cache(64);
+  const std::string text_before = run(before, &cache, nullptr);
+  core::PipelineReport cached_report;
+  const std::string cached = run(after, &cache, &cached_report);
+  core::AnalysisCache fresh(64);
+  const std::string cold = run(after, &fresh, nullptr);
+
+  // The edit reaches path/2: it is called with its second argument bound
+  // now, and its versions change although its clauses did not.
+  EXPECT_NE(text_before.find("path_iu("), std::string::npos) << text_before;
+  EXPECT_NE(cold.find("path_ui("), std::string::npos) << cold;
+  EXPECT_EQ(cold.find("path_iu("), std::string::npos) << cold;
+  EXPECT_EQ(cached, cold);
+  // Only colour/1's group, called as before, is adopted: path/2's and
+  // edge/2's modes changed with the edit, query/0's clauses did.
+  EXPECT_EQ(cached_report.cache_hits, 1u);
+  EXPECT_EQ(cached_report.cache_rejected, 0u);
 }
 
 }  // namespace

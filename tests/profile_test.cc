@@ -136,7 +136,9 @@ TEST(ProfileCollector, OffByDefaultAndMetricsUnchanged) {
     ASSERT_TRUE(metrics.ok());
     calls[armed] = metrics->TotalCalls();
     solutions[armed] = metrics->solutions;
-    if (!armed) EXPECT_TRUE(collector.empty());
+    if (!armed) {
+      EXPECT_TRUE(collector.empty());
+    }
   }
   // Calls and answers agree whether or not instrumentation is armed (the
   // armed run may allocate extra choicepoints, but resolution is the

@@ -544,6 +544,39 @@ TEST(ServerTest, CacheRecomputesOnlyTheDirtyCone) {
   server.Wait();
 }
 
+double Stat(Client& c, const char* field) {
+  JsonValue st = c.Call(R"x({"op":"stats"})x");
+  const JsonValue* stats = st.Find("stats");
+  return stats == nullptr ? -1 : stats->GetNumber(field);
+}
+
+// A second reorder of an unedited session: the program-level entry gives
+// every group's key, every group is adopted, and neither mode inference
+// nor absint runs — yet the reply is the cold reply to the byte.
+TEST(ServerTest, UneditedReorderAdoptsEveryGroupWithoutAnalysis) {
+  Server server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client c(server.socket_path());
+  ASSERT_EQ(c.Call(LoadRequest(kThreeGroupProgram)).GetString("status"),
+            "ok");
+  JsonValue cold = c.Call(R"x({"op":"reorder"})x");
+  ASSERT_EQ(cold.GetString("status"), "ok");
+  EXPECT_EQ(Stat(c, "reorder_analyses"), 1);
+  const double hits = CacheStat(c, "hits");
+  const double program_hits = CacheStat(c, "program_hits");
+
+  JsonValue warm = c.Call(R"x({"op":"reorder"})x");
+  ASSERT_EQ(warm.GetString("status"), "ok");
+  EXPECT_EQ(warm.Dump(), cold.Dump());
+  EXPECT_EQ(CacheStat(c, "program_hits") - program_hits, 1);
+  EXPECT_EQ(CacheStat(c, "hits") - hits, 3);
+  EXPECT_EQ(Stat(c, "reorder_analyses"), 1);  // the warm reorder ran none
+  EXPECT_EQ(CacheStat(c, "invalidations"), 0);
+
+  server.Shutdown();
+  server.Wait();
+}
+
 TEST(ServerTest, CorruptCacheEntryIsDetectedAndRecomputed) {
   Server server(BaseOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -628,17 +661,17 @@ TEST(ServerTest, CacheEntryWithASplitSharedVariableIsInvalidated) {
   JsonValue cold = c.Call(R"x({"op":"reorder"})x");
   ASSERT_EQ(cold.GetString("status"), "ok");
 
-  // pick/2's entry: C links the head to color/2; give the goal its own
-  // variable instead. Both are then singletons, and the clause means
-  // something else.
+  // pick/2's entry: C links the head to color/2 (called through its
+  // specialized version); give the goal its own variable instead. Both
+  // are then singletons, and the clause means something else.
   auto& cache = server.cache();
   size_t corrupted = 0;
   for (uint64_t k : cache.KeysForTest()) {
     ASSERT_TRUE(cache.CorruptForTest(k, [&corrupted](core::GroupCacheEntry* e) {
-      const std::string from = "color(F,C)";
+      const std::string from = "color_uu(F,C)";
       for (size_t at = e->program_text.find(from); at != std::string::npos;
            at = e->program_text.find(from, at)) {
-        e->program_text.replace(at, from.size(), "color(F,C2)");
+        e->program_text.replace(at, from.size(), "color_uu(F,C2)");
         ++corrupted;
       }
     }));

@@ -38,72 +38,6 @@ TEST(SymbolTableTest, PredefinedSymbolsHaveFixedIds) {
   EXPECT_EQ(t.Intern("="), SymbolTable::kUnify);
 }
 
-TEST(SymbolTableTest, BorrowKeepsBaseIdsAndNames) {
-  SymbolTable base;
-  const Symbol foo = base.Intern("foo");
-  const Symbol bar = base.Intern("bar");
-  SymbolTable t;
-  t.Borrow(base);
-  EXPECT_EQ(t.size(), base.size());
-  EXPECT_EQ(t.Intern("foo"), foo);
-  EXPECT_EQ(t.Intern("bar"), bar);
-  EXPECT_EQ(t.Intern(":-"), SymbolTable::kNeck);
-  EXPECT_EQ(t.Name(foo), "foo");
-  EXPECT_EQ(t.Name(SymbolTable::kCut), "!");
-  EXPECT_EQ(t.size(), base.size());
-}
-
-TEST(SymbolTableTest, BorrowerMintsIdsFromTheBaseSizeUp) {
-  SymbolTable base;
-  base.Intern("foo");
-  const size_t base_size = base.size();
-  SymbolTable t;
-  t.Borrow(base);
-  const Symbol a = t.Intern("foo_iu");
-  const Symbol b = t.Intern("foo_ui");
-  EXPECT_EQ(a, base_size);
-  EXPECT_EQ(b, base_size + 1);
-  EXPECT_EQ(t.Intern("foo_iu"), a);
-  EXPECT_EQ(t.Name(a), "foo_iu");
-  EXPECT_EQ(t.Name(b), "foo_ui");
-  EXPECT_EQ(t.size(), base_size + 2);
-  EXPECT_EQ(base.size(), base_size);  // the base never sees them
-}
-
-TEST(SymbolTableTest, NameInternedIntoBaseAfterBorrowDoesNotAlias) {
-  SymbolTable base;
-  SymbolTable t;
-  t.Borrow(base);
-  const Symbol mine = t.Intern("mine");
-  const Symbol late = base.Intern("late");
-  EXPECT_EQ(late, mine);  // the same number, in two different tables
-  EXPECT_EQ(t.Name(mine), "mine");
-  EXPECT_EQ(base.Name(late), "late");
-  const Symbol late_here = t.Intern("late");
-  EXPECT_NE(late_here, late);
-  EXPECT_EQ(t.Name(late_here), "late");
-  EXPECT_EQ(base.Intern("mine"), late + 1);
-  EXPECT_EQ(t.Intern("mine"), mine);
-}
-
-TEST(SymbolTableTest, BorrowedBaseMayItselfBorrow) {
-  SymbolTable root;
-  const Symbol foo = root.Intern("foo");
-  SymbolTable mid;
-  mid.Borrow(root);
-  const Symbol bar = mid.Intern("bar");
-  root.Intern("after_mid");  // not visible through mid
-  SymbolTable leaf;
-  leaf.Borrow(mid);
-  EXPECT_EQ(leaf.Intern("foo"), foo);
-  EXPECT_EQ(leaf.Intern("bar"), bar);
-  EXPECT_EQ(leaf.Name(bar), "bar");
-  const Symbol baz = leaf.Intern("baz");
-  EXPECT_EQ(baz, mid.size());
-  EXPECT_EQ(leaf.Name(baz), "baz");
-  EXPECT_NE(leaf.Intern("after_mid"), root.Intern("after_mid"));
-}
-
 class TermStoreTest : public ::testing::Test {
  protected:
   TermStore store_;
@@ -298,44 +232,6 @@ TEST_F(TermStoreTest, TruncateReclaimsCells) {
   EXPECT_GT(store_.NumCells(), mark.cells);
   store_.Truncate(mark);
   EXPECT_EQ(store_.NumCells(), mark.cells);
-}
-
-
-// The sharded pipeline's merge: a store that borrowed the main store's
-// symbols mints names, and CopyFrom brings its terms back into the main
-// store while the borrower is still alive. The new names are long enough
-// to live on the heap and many enough to make the main table reallocate
-// its names mid-copy; a sanitizer build catches a dangling Name().
-TEST(TermStoreBorrowTest, CopyBackIntoBaseReallocatesNames) {
-  TermStore main;
-  const TermRef foo = main.MakeAtom("foo");
-  TermStore group;
-  group.AdoptSymbols(main);
-  EXPECT_EQ(group.symbols().Name(main.symbol(foo)), "foo");
-
-  constexpr int kNames = 160;
-  std::vector<TermRef> terms;
-  for (int i = 0; i < kNames; ++i) {
-    const TermRef args[] = {group.MakeAtom("foo"),
-                            group.MakeAtom("minted_by_the_group_" +
-                                           std::to_string(i))};
-    terms.push_back(group.MakeStruct(
-        "a_version_name_longer_than_sso_" + std::to_string(i), args));
-  }
-  const size_t main_size = main.symbols().size();
-  for (int i = 0; i < kNames; ++i) {
-    const TermRef copy = main.CopyFrom(group, terms[i]);
-    EXPECT_EQ(main.symbols().Name(main.symbol(copy)),
-              "a_version_name_longer_than_sso_" + std::to_string(i));
-    EXPECT_EQ(main.symbol(main.arg(copy, 0)), main.symbol(foo));
-    EXPECT_EQ(main.symbols().Name(main.symbol(main.arg(copy, 1))),
-              "minted_by_the_group_" + std::to_string(i));
-  }
-  EXPECT_EQ(main.symbols().size(), main_size + 2 * kNames);
-  // The borrower still resolves its own names after the base grew.
-  EXPECT_EQ(group.symbols().Name(group.symbol(terms[0])),
-            "a_version_name_longer_than_sso_0");
-  EXPECT_EQ(group.symbols().Name(main.symbol(foo)), "foo");
 }
 
 }  // namespace

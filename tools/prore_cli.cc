@@ -21,10 +21,10 @@
 //   --no-specialize     one version per predicate, original names
 //   --no-clauses        keep clause order (goals only)
 //   --no-goals          keep goal order (clauses only)
-//   --jobs=N            transform SCC dependency groups in parallel on N
-//                       worker threads (0 = classic whole-program pipeline,
-//                       the default). Output is bit-identical for every
-//                       N >= 1; N only changes wall-clock time.
+//   --jobs=N            transform the SCC dependency groups of one wave
+//                       in parallel on N worker threads (0, the default,
+//                       and 1 run them inline). Output is bit-identical
+//                       for every N; N only changes wall-clock time.
 //                       --jobs=auto maps to hardware_concurrency() (with a
 //                       documented fallback to 1 when it reports 0).
 //   --retry-attempts=N  total attempts per predicate on a transient fault
@@ -39,9 +39,9 @@
 //   --report=json       same, as one line of JSON (stable field order)
 //   --strict            exit 3 if any predicate was quarantined (default:
 //                       graceful — ship the degraded program, exit 5).
-//                       With --jobs=N, also cancels sibling shards as soon
-//                       as one group degrades (the exit code is already
-//                       decided, so their results cannot matter)
+//                       Also ships the groups not yet transformed at
+//                       identity as soon as one group degrades (the exit
+//                       code is already decided, so they cannot matter)
 //   --compare QUERY     run QUERY on both programs and report call counts
 //   --emit-original     also echo the parsed original (normalization check)
 //   --cost-steps=N        cost-model watchdog step budget (0 = off)
@@ -409,15 +409,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%-28s %-8s %14s %14s %s\n", "predicate", "mode",
                  "predicted-orig", "predicted-new", "changed");
     for (const auto& r : result->reports) {
-      std::string changed;
-      if (r.clauses_changed) changed += "clauses ";
-      if (r.goals_changed) changed += "goals";
-      if (changed.empty()) changed = "-";
+      const char* changed = r.clauses_changed
+                                ? (r.goals_changed ? "clauses goals"
+                                                   : "clauses ")
+                                : (r.goals_changed ? "goals" : "-");
       std::fprintf(stderr, "%-28s %-8s %14.1f %14.1f %s\n",
                    prore::reader::PredName(store, r.pred).c_str(),
                    prore::analysis::ModeString(r.mode).c_str(),
                    r.predicted_original_cost, r.predicted_new_cost,
-                   changed.c_str());
+                   changed);
     }
   }
 
