@@ -28,13 +28,11 @@ std::vector<uint32_t> GoalOrderSearch::CulpritVars(const BodyNode& node) const {
   return out;
 }
 
-std::vector<SemifixConstraint> GoalOrderSearch::OriginalSignatures(
+prore::Result<std::vector<SemifixConstraint>>
+GoalOrderSearch::OriginalSignatures(
     const std::vector<const BodyNode*>& elements,
     const AbstractEnv& start_env) {
   std::vector<SemifixConstraint> sigs(elements.size());
-  auto eval = costs_->EvaluateSequence(elements, start_env);
-  // Recompute states element by element (EvaluateSequence gives only the
-  // final env), so walk again.
   AbstractEnv env = start_env;
   for (size_t i = 0; i < elements.size(); ++i) {
     for (uint32_t var : CulpritVars(*elements[i])) {
@@ -48,11 +46,8 @@ std::vector<SemifixConstraint> GoalOrderSearch::OriginalSignatures(
       sigs[i].original_states.emplace_back(id, env.Get(id));
     }
     // Advance the environment exactly the way candidate evaluation does.
-    std::vector<const BodyNode*> single{elements[i]};
-    auto step = costs_->EvaluateSequence(single, env);
-    if (step.ok()) env = step->env_after;
+    PRORE_RETURN_IF_ERROR(costs_->EvaluateStep(*elements[i], &env).status());
   }
-  (void)eval;
   return sigs;
 }
 
@@ -97,8 +92,8 @@ prore::Result<OrderResult> GoalOrderSearch::FindBestOrder(
   result.original_cost = result.cost_all;
   if (elements.size() < 2) return result;
 
-  std::vector<SemifixConstraint> sigs = OriginalSignatures(elements,
-                                                           start_env);
+  PRORE_ASSIGN_OR_RETURN(std::vector<SemifixConstraint> sigs,
+                         OriginalSignatures(elements, start_env));
   prore::Result<OrderResult> candidate(result);
   if (options_.warren_heuristic) {
     candidate = WarrenGreedy(elements, start_env, sigs);
@@ -135,27 +130,21 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
   // whole search, not be skipped like an ordinary illegal candidate.
   prore::Status trip;
 
-  // DFS over legal prefixes; evaluate complete orders.
-  std::function<void(const AbstractEnv&)> recurse =
-      [&](const AbstractEnv& env) {
-        if (!trip.ok()) return;
+  // DFS over legal prefixes, scoring each placement once and carrying the
+  // prefix's all-solutions cost down. A complete order's cost is then the
+  // one EvaluateSequence would give it. Costs only grow along a branch, so
+  // a child whose prefix already costs at least the best complete order
+  // (or +inf) cannot lead to a strictly cheaper one and is skipped: every
+  // leaf reached is a new best, and the last one is the first minimum in
+  // DFS order, as with full enumeration.
+  std::function<void(const AbstractEnv&,
+                     const markov::AllSolutionsCostAccumulator&)>
+      recurse = [&](const AbstractEnv& env,
+                    const markov::AllSolutionsCostAccumulator& acc) {
         if (prefix.size() == elements.size()) {
           ++considered;
-          // Placement checks during the DFS already established legality
-          // (oracle-proven or at-least-original).
-          auto eval = costs_->EvaluateSequence(prefix, start_env);
-          if (!eval.ok()) {
-            if (eval.status().code() ==
-                prore::StatusCode::kResourceExhausted) {
-              trip = eval.status();
-            }
-            return;
-          }
-          double cost = eval->chain.cost_all_solutions;
-          if (cost < best.cost_all) {
-            best.cost_all = cost;
-            best.order = prefix;
-          }
+          best.cost_all = acc.cost();
+          best.order = prefix;
           return;
         }
         for (size_t i = 0; i < elements.size(); ++i) {
@@ -165,8 +154,8 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
           // oracle proves every call's demands, OR the element sees all
           // its variables at least as instantiated as in the original
           // order (upward closure).
-          std::vector<const BodyNode*> single{elements[i]};
-          auto step = costs_->EvaluateSequence(single, env);
+          AbstractEnv next_env = env;
+          auto step = costs_->EvaluateStep(*elements[i], &next_env);
           if (!step.ok()) {
             if (step.status().code() ==
                 prore::StatusCode::kResourceExhausted) {
@@ -176,14 +165,17 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
           }
           if (!step->legal && !AtLeastOriginal(sigs[i], env)) continue;
           if (!SatisfiesConstraint(sigs[i], env)) continue;
+          markov::AllSolutionsCostAccumulator next_acc = acc;
+          next_acc.Push(step->visit);
+          if (!(next_acc.cost() < best.cost_all)) continue;
           used[i] = true;
           prefix.push_back(elements[i]);
-          recurse(step->env_after);
+          recurse(next_env, next_acc);
           prefix.pop_back();
           used[i] = false;
         }
       };
-  recurse(start_env);
+  recurse(start_env, markov::AllSolutionsCostAccumulator());
   if (!trip.ok()) return trip;
   best.nodes_considered = considered;
   if (!std::isfinite(best.cost_all)) {
@@ -201,7 +193,7 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
     double f;  // closed-form all-solutions cost of the prefix (admissible)
     std::vector<size_t> prefix;
     AbstractEnv env;
-    std::vector<markov::GoalStats> stats;
+    markov::AllSolutionsCostAccumulator acc;
     bool operator>(const Node& o) const { return f > o.f; }
   };
   std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
@@ -227,8 +219,9 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
           node.prefix.end()) {
         continue;
       }
-      std::vector<const BodyNode*> single{elements[i]};
-      auto step = costs_->EvaluateSequence(single, node.env);
+      Node next;
+      next.env = node.env;
+      auto step = costs_->EvaluateStep(*elements[i], &next.env);
       if (!step.ok()) {
         if (step.status().code() == prore::StatusCode::kResourceExhausted) {
           return step.status();  // watchdog trip aborts the search
@@ -237,13 +230,11 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
       }
       if (!step->legal && !AtLeastOriginal(sigs[i], node.env)) continue;
       if (!SatisfiesConstraint(sigs[i], node.env)) continue;
-      Node next;
       next.prefix = node.prefix;
       next.prefix.push_back(i);
-      next.env = step->env_after;
-      next.stats = node.stats;
-      next.stats.push_back(step->goal_stats[0]);
-      next.f = markov::ClosedFormAllSolutionsCost(next.stats);
+      next.acc = node.acc;
+      next.acc.Push(step->visit);
+      next.f = next.acc.cost();
       open.push(std::move(next));
     }
   }
@@ -260,15 +251,17 @@ prore::Result<OrderResult> GoalOrderSearch::WarrenGreedy(
   // for the goal's current mode (tests score below 1, generators above).
   OrderResult result;
   AbstractEnv env = start_env;
+  markov::AllSolutionsCostAccumulator acc;
   std::vector<bool> used(elements.size(), false);
   for (size_t step_no = 0; step_no < elements.size(); ++step_no) {
     double best_factor = std::numeric_limits<double>::infinity();
     size_t best_i = elements.size();
     AbstractEnv best_env;
+    markov::GoalStats best_visit;
     for (size_t i = 0; i < elements.size(); ++i) {
       if (used[i]) continue;
-      std::vector<const BodyNode*> single{elements[i]};
-      auto step = costs_->EvaluateSequence(single, env);
+      AbstractEnv next_env = env;
+      auto step = costs_->EvaluateStep(*elements[i], &next_env);
       if (!step.ok()) {
         if (step.status().code() == prore::StatusCode::kResourceExhausted) {
           return step.status();  // watchdog trip aborts the search
@@ -284,31 +277,29 @@ prore::Result<OrderResult> GoalOrderSearch::WarrenGreedy(
         PredId id = store_->pred_id(goal);
         Mode mode = env.CallModeOf(*store_, goal);
         factor = costs_->ExpectedMatches(id, mode);
-        if (factor == 0.0) factor = step->goal_stats[0].success_prob;
+        if (factor == 0.0) factor = step->visit.success_prob;
       } else {
-        factor = step->goal_stats[0].success_prob;
+        factor = step->visit.success_prob;
       }
       if (factor < best_factor) {
         best_factor = factor;
         best_i = i;
-        best_env = step->env_after;
+        best_env = std::move(next_env);
+        best_visit = step->visit;
       }
     }
     if (best_i == elements.size()) {
-      // Stuck (no legal placement); keep original.
+      // Stuck (no legal placement): an infinite cost keeps the original.
       result.order = elements;
-      auto eval = costs_->EvaluateSequence(elements, start_env);
-      result.cost_all = eval.ok() ? eval->chain.cost_all_solutions
-                                  : std::numeric_limits<double>::infinity();
+      result.cost_all = std::numeric_limits<double>::infinity();
       return result;
     }
     used[best_i] = true;
     result.order.push_back(elements[best_i]);
-    env = best_env;
+    env = std::move(best_env);
+    acc.Push(best_visit);
   }
-  auto eval = costs_->EvaluateSequence(result.order, start_env);
-  result.cost_all = eval.ok() ? eval->chain.cost_all_solutions
-                              : std::numeric_limits<double>::infinity();
+  result.cost_all = acc.cost();
   result.nodes_considered = elements.size() * elements.size();
   return result;
 }

@@ -15,9 +15,10 @@
 namespace prore::core {
 
 struct GoalOrderOptions {
-  /// Up to this many mobile elements, try every legal permutation;
-  /// above it, use A* best-first search (paper §VI-A.3, after Smith &
-  /// Genesereth).
+  /// Up to this many mobile elements, search every legal permutation
+  /// depth-first, cutting prefixes that already cost at least the best
+  /// complete order; above it, use A* best-first search (paper §VI-A.3,
+  /// after Smith & Genesereth).
   size_t exhaustive_threshold = 6;
   /// If false and the segment exceeds the threshold, keep the original
   /// order (instead of A*).
@@ -51,7 +52,9 @@ struct OrderResult {
   double cost_all = 0.0;      ///< predicted all-solutions cost of the order
   double original_cost = 0.0; ///< same metric for the original order
   bool changed = false;
-  size_t nodes_considered = 0;  ///< permutations tried / A* expansions
+  /// Exhaustive: complete orders reached under the cost bound (each one
+  /// a new best); A*: expansions; Warren: n^2.
+  size_t nodes_considered = 0;
 };
 
 /// Finds the cheapest legal order of `elements` starting from `start_env`.
@@ -76,8 +79,9 @@ class GoalOrderSearch {
 
  private:
   /// Records, for each element, the abstract state each culprit variable
-  /// has when the element runs in the *original* order.
-  std::vector<SemifixConstraint> OriginalSignatures(
+  /// has when the element runs in the *original* order. Fails only when
+  /// the cost model's watchdog trips.
+  prore::Result<std::vector<SemifixConstraint>> OriginalSignatures(
       const std::vector<const analysis::BodyNode*>& elements,
       const analysis::AbstractEnv& start_env);
 

@@ -612,40 +612,52 @@ bool CostModel::NodeLegal(const BodyNode& node, const AbstractEnv& env) {
   return true;
 }
 
+prore::Result<StepEval> CostModel::EvaluateStep(const BodyNode& node,
+                                                AbstractEnv* env) {
+  // One watchdog step per scored element; the search layers multiply
+  // element evaluations, so this is where a runaway cost query trips.
+  PRORE_RETURN_IF_ERROR(watchdog_.Step());
+  StepEval step;
+  step.legal = NodeLegal(node, *env);
+  PredModeStats s = NodeStats(node, *env);
+  double cost = ClampCost(s.cost_single);
+  // Single-solution chain: per-visit success is the first-solution
+  // probability. Cap certain goals at 0.999 — a p=1 state makes the
+  // all-solutions chain non-absorbing (the paper's model assumes p < 1).
+  step.single = markov::GoalStats{std::min(0.999, Clamp01(s.success_prob)),
+                                  cost};
+  // All-solutions chain (the ordering objective): a goal with expected
+  // s solutions re-succeeds on redo, so its per-visit success rate is
+  // s/(1+s) — this is what makes a 120-tuple generator costlier to put
+  // early than a 2-tuple one even when both "succeed" on first call.
+  double sols = std::max(0.0, s.expected_solutions);
+  step.visit = markov::GoalStats{std::min(0.999, sols / (1.0 + sols)), cost};
+  ApplyNode(node, env);
+  return step;
+}
+
 prore::Result<BlockEval> CostModel::EvaluateSequence(
     const std::vector<const BodyNode*>& order, const AbstractEnv& start) {
   BlockEval eval;
   eval.env_after = start;
   std::vector<markov::GoalStats> single_stats;
+  single_stats.reserve(order.size());
+  eval.goal_stats.reserve(order.size());
   for (const BodyNode* node : order) {
-    // One watchdog step per scored element; the search layers multiply
-    // sequence evaluations, so this is where a runaway cost query trips.
-    PRORE_RETURN_IF_ERROR(watchdog_.Step());
-    if (!NodeLegal(*node, eval.env_after)) eval.legal = false;
-    PredModeStats s = NodeStats(*node, eval.env_after);
-    double cost = ClampCost(s.cost_single);
-    // Single-solution chain: per-visit success is the first-solution
-    // probability. Cap certain goals at 0.999 — a p=1 state makes the
-    // all-solutions chain non-absorbing (the paper's model assumes p < 1).
-    double p_first = std::min(0.999, Clamp01(s.success_prob));
-    single_stats.push_back(markov::GoalStats{p_first, cost});
-    // All-solutions chain (the ordering objective): a goal with expected
-    // s solutions re-succeeds on redo, so its per-visit success rate is
-    // s/(1+s) — this is what makes a 120-tuple generator costlier to put
-    // early than a 2-tuple one even when both "succeed" on first call.
-    double sols = std::max(0.0, s.expected_solutions);
-    double p_visit = std::min(0.999, sols / (1.0 + sols));
-    eval.goal_stats.push_back(markov::GoalStats{p_visit, cost});
-    ApplyNode(*node, &eval.env_after);
+    PRORE_ASSIGN_OR_RETURN(StepEval step,
+                           EvaluateStep(*node, &eval.env_after));
+    if (!step.legal) eval.legal = false;
+    single_stats.push_back(step.single);
+    eval.goal_stats.push_back(step.visit);
   }
+  // Only the single-solution chain is solved: every all-solutions field
+  // comes from the closed forms over the per-visit rates.
   PRORE_ASSIGN_OR_RETURN(eval.chain,
-                         markov::AnalyzeClauseBody(single_stats));
-  // Overlay the all-solutions quantities computed from the per-visit rates.
+                         markov::AnalyzeSingleSolutionChain(single_stats));
   eval.chain.cost_all_solutions =
       markov::ClosedFormAllSolutionsCost(eval.goal_stats);
-  std::vector<double> visits = markov::ClosedFormAllVisits(eval.goal_stats);
-  eval.chain.visits_all = visits;
-  eval.chain.expected_solutions = visits.empty() ? 1.0 : visits.back();
+  eval.chain.visits_all = markov::ClosedFormAllVisits(eval.goal_stats);
+  eval.chain.expected_solutions = eval.chain.visits_all.back();
   eval.chain.cost_per_solution =
       eval.chain.expected_solutions > 0.0
           ? eval.chain.cost_all_solutions / eval.chain.expected_solutions

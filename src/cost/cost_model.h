@@ -89,6 +89,13 @@ struct BlockEval {
   std::vector<markov::GoalStats> goal_stats;  ///< per element, in order
 };
 
+/// One body element's contribution to a sequence (see CostModel::EvaluateStep).
+struct StepEval {
+  bool legal = true;         ///< every call in the element met its demands
+  markov::GoalStats single;  ///< single-solution chain: first-solution rate
+  markov::GoalStats visit;   ///< all-solutions chain: per-visit rate
+};
+
 /// Cost/probability database for a program: Warren-style statistics for
 /// fact predicates, a hand-written table for built-ins, Markov-chain
 /// propagation for rules (bottom-up over the SCC condensation), `:- prob` /
@@ -160,10 +167,19 @@ class CostModel {
 
   /// Evaluates a sequence of body elements in the given order starting
   /// from `start`: legality of each call, the absorbing-chain analysis of
-  /// the sequence, and the abstract environment after it.
+  /// the sequence, and the abstract environment after it. A loop over
+  /// EvaluateStep.
   prore::Result<BlockEval> EvaluateSequence(
       const std::vector<const analysis::BodyNode*>& order,
       const analysis::AbstractEnv& start);
+
+  /// Scores one element placed where `*env` holds and advances `*env`
+  /// past it: one watchdog step, legality, the element's chain stats
+  /// (success rates capped at 0.999) and its bindings. The goal-order
+  /// search scores each placement with this. On a watchdog trip `*env`
+  /// is left as it was.
+  prore::Result<StepEval> EvaluateStep(const analysis::BodyNode& node,
+                                       analysis::AbstractEnv* env);
 
   /// Warren-style head-match probability: for each '+' call position whose
   /// head argument is nonvariable, multiply by 1/|domain of that position|
@@ -181,13 +197,13 @@ class CostModel {
     ApplyNode(node, env);
   }
 
-  /// Guards every subsequent EvaluateSequence with a step/wall-clock
-  /// budget: one step per evaluated body element. Once tripped, evaluation
-  /// fails fast with kResourceExhausted
+  /// Guards every subsequent EvaluateStep (and so EvaluateSequence) with a
+  /// step/wall-clock budget: one step per evaluated body element. Once
+  /// tripped, evaluation fails fast with kResourceExhausted
   /// (resource_error(watchdog(cost_model))) — which the goal-order search
   /// and clause ordering propagate — so a pathologically expensive cost
   /// query degrades instead of hanging. The goal-order search is covered
-  /// transitively: every candidate it scores goes through here.
+  /// transitively: every placement it scores goes through here.
   void ArmWatchdog(const prore::WatchdogBudget& budget,
                    const prore::ExecContext& exec = {}) {
     watchdog_.Arm(budget, "cost_model", exec);

@@ -81,31 +81,39 @@ std::vector<double> ClosedFormAllVisits(std::span<const GoalStats> goals) {
   return v;
 }
 
-double ClosedFormAllSolutionsCost(std::span<const GoalStats> goals) {
-  std::vector<double> v = ClosedFormAllVisits(goals);
-  double cost = 0.0;
-  for (size_t i = 0; i < goals.size(); ++i) {
-    if (std::isinf(v[i])) {
-      if (goals[i].cost > 0.0) return kInf;
-      continue;
-    }
-    cost += goals[i].cost * v[i];
+void AllSolutionsCostAccumulator::Push(const GoalStats& goal) {
+  if (infinite_) return;
+  // The same operations, in the same order, as ClosedFormAllVisits.
+  denom_ *= 1.0 - goal.success_prob;
+  double v = denom_ == 0.0 ? kInf : num_ / denom_;
+  num_ *= goal.success_prob;
+  if (std::isinf(v)) {
+    if (goal.cost > 0.0) infinite_ = true;
+    return;
   }
-  return cost;
+  cost_ += goal.cost * v;
 }
 
-prore::Result<ChainAnalysis> AnalyzeClauseBody(
+double AllSolutionsCostAccumulator::cost() const {
+  return infinite_ ? kInf : cost_;
+}
+
+double ClosedFormAllSolutionsCost(std::span<const GoalStats> goals) {
+  AllSolutionsCostAccumulator acc;
+  for (const GoalStats& g : goals) acc.Push(g);
+  return acc.cost();
+}
+
+prore::Result<ChainAnalysis> AnalyzeSingleSolutionChain(
     std::span<const GoalStats> goals) {
   PRORE_RETURN_IF_ERROR(ValidateGoals(goals));
   ChainAnalysis out;
   size_t n = goals.size();
   if (n == 0) {
     out.success_prob = 1.0;
-    out.expected_solutions = 1.0;
     return out;
   }
-
-  // ---- Single-solution chain: Q is n x n over the goal states. ----
+  // Q is n x n over the goal states.
   Matrix q(n, n);
   for (size_t i = 0; i < n; ++i) {
     double pi = goals[i].success_prob;
@@ -122,6 +130,18 @@ prore::Result<ChainAnalysis> AnalyzeClauseBody(
   }
   // Success probability: absorb in S (reached from the last goal).
   out.success_prob = fundamental.At(0, n - 1) * goals[n - 1].success_prob;
+  return out;
+}
+
+prore::Result<ChainAnalysis> AnalyzeClauseBody(
+    std::span<const GoalStats> goals) {
+  PRORE_ASSIGN_OR_RETURN(ChainAnalysis out,
+                         AnalyzeSingleSolutionChain(goals));
+  size_t n = goals.size();
+  if (n == 0) {
+    out.expected_solutions = 1.0;
+    return out;
+  }
 
   // ---- All-solutions chain: transient states are the goals plus S. ----
   bool certain_goal = false;

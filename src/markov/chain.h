@@ -45,6 +45,13 @@ struct ChainAnalysis {
 /// success_prob 1 and zero costs.
 prore::Result<ChainAnalysis> AnalyzeClauseBody(std::span<const GoalStats> goals);
 
+/// The single-solution half of AnalyzeClauseBody (Fig. 4): fills
+/// success_prob, cost_single and visits_single, bit-equal to the full
+/// analysis, and leaves the all-solutions fields zero. For callers that
+/// take the all-solutions quantities from the closed forms below.
+prore::Result<ChainAnalysis> AnalyzeSingleSolutionChain(
+    std::span<const GoalStats> goals);
+
 /// Closed-form visit counts for the all-solutions chain (the paper's "tidy
 /// form"): v_i = prod_{j<i} p_j / prod_{j<=i} (1-p_j). Returns +infinity
 /// entries when some p_j == 1. Index n (one past the goals) is v_S, the
@@ -53,6 +60,23 @@ std::vector<double> ClosedFormAllVisits(std::span<const GoalStats> goals);
 
 /// Closed-form expected cost of exhausting the body: sum c_i * v_i.
 double ClosedFormAllSolutionsCost(std::span<const GoalStats> goals);
+
+/// ClosedFormAllSolutionsCost one goal at a time: after pushing a prefix
+/// of the goals, cost() is bit-equal to ClosedFormAllSolutionsCost of that
+/// prefix (which is computed through this class). Every term c_i * v_i is
+/// non-negative, so cost() never decreases as goals are pushed — a prefix
+/// bounds every completion from below.
+class AllSolutionsCostAccumulator {
+ public:
+  void Push(const GoalStats& goal);
+  double cost() const;
+
+ private:
+  double num_ = 1.0;       ///< prod p_j over the goals pushed
+  double denom_ = 1.0;     ///< prod (1-p_j) over the goals pushed
+  double cost_ = 0.0;      ///< sum of the finite terms c_i * v_i
+  bool infinite_ = false;  ///< some goal with cost > 0 has v_i = +inf
+};
 
 // ---- The paper's §III ordering formulas (Figs. 1 and 2) --------------------
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "analysis/callgraph.h"
@@ -204,6 +206,98 @@ TEST(GoalOrderTest, AStarMatchesExhaustiveOnRandomChains) {
     EXPECT_NEAR(exhaustive->cost_all, astar->cost_all,
                 1e-6 * (1.0 + exhaustive->cost_all))
         << "trial " << trial << "\n" << src;
+  }
+}
+
+TEST(GoalOrderTest, ExhaustiveMatchesUnprunedReference) {
+  // The bounded DFS must pick exactly what scoring every permutation with
+  // EvaluateSequence picks: the first strict minimum in DFS (lexicographic)
+  // order, at a bit-equal cost. The fact predicates make every order legal;
+  // `big` has enough facts that its per-visit success rate hits the 0.999
+  // cap, and `true`/`fail` give zero-cost and p = 1 / p = 0 elements.
+  std::string facts;
+  for (int f = 0; f < 1000; ++f) {
+    facts += "big(" + std::to_string(f) + ").\n";
+  }
+  for (int g = 0; g < 4; ++g) {
+    for (int f = 0; f <= 3 * g; ++f) {
+      facts += "g" + std::to_string(g) + "(k" + std::to_string(f % 3) +
+               ", v" + std::to_string(f) + ").\n";
+    }
+  }
+  std::mt19937 rng(2024);
+  auto var = [&] { return "X" + std::to_string(rng() % 4); };
+  for (int trial = 0; trial < 40; ++trial) {
+    size_t n = 2 + rng() % 5;
+    std::string body;
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0) body += ", ";
+      switch (rng() % 8) {
+        case 0:
+          body += "true";
+          break;
+        case 1:
+          body += "fail";
+          break;
+        case 2:
+        case 3:
+          body += "big(" + var() + ")";
+          break;
+        default:
+          body += "g" + std::to_string(rng() % 4) + "(" + var() + ", " +
+                  var() + ")";
+      }
+    }
+    const std::string src = facts + "target(X0) :- " + body + ".\n";
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + body);
+    OrderFixture fx(src);
+    auto elements = fx.Elements("target", 1);
+    ASSERT_EQ(elements.size(), n);
+    AbstractEnv env = fx.EnvFor("target", 1, "(-)");
+
+    GoalOrderOptions opts;
+    opts.exhaustive_threshold = 6;
+    auto r = fx.Search(opts).FindBestOrder(elements, env);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+    // Reference: every permutation, in DFS order, scored from scratch.
+    std::vector<size_t> perm(n);
+    for (size_t i = 0; i < n; ++i) perm[i] = i;
+    std::vector<const BodyNode*> best_order;
+    double best_cost = std::numeric_limits<double>::infinity();
+    double original_cost = 0.0;
+    do {
+      std::vector<const BodyNode*> order;
+      for (size_t i : perm) order.push_back(elements[i]);
+      auto eval = fx.costs_->EvaluateSequence(order, env);
+      ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+      ASSERT_TRUE(eval->legal);
+      double cost = eval->chain.cost_all_solutions;
+      if (order == elements) original_cost = cost;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_order = order;
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    // FindBestOrder's acceptance rule: a strict gain over the original.
+    bool improves = best_cost + 1e-9 < original_cost;
+    EXPECT_EQ(r->order, improves ? best_order : elements);
+    EXPECT_EQ(r->changed, improves && best_order != elements);
+    EXPECT_EQ(r->cost_all, improves ? best_cost : original_cost);
+    EXPECT_EQ(r->original_cost, original_cost);
+
+    // A watchdog trip still aborts the search: before it starts, and
+    // inside the DFS (2n steps price the original order and record its
+    // signatures; the next placement beyond one more is over budget).
+    for (uint64_t budget : {uint64_t{2}, uint64_t{2 * n + 1}}) {
+      fx.costs_->ArmWatchdog({budget, 0});
+      auto tripped = fx.Search(opts).FindBestOrder(elements, env);
+      ASSERT_FALSE(tripped.ok()) << "budget " << budget;
+      EXPECT_EQ(tripped.status().code(),
+                prore::StatusCode::kResourceExhausted)
+          << "budget " << budget;
+    }
+    fx.costs_->ArmWatchdog({});
   }
 }
 

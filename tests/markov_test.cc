@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "markov/chain.h"
@@ -268,6 +269,72 @@ TEST(ChainTest, CostSingleIsMonotoneInGoalCost) {
 TEST(ChainTest, InvalidProbabilityRejected) {
   EXPECT_FALSE(AnalyzeClauseBody(MakeGoals({1.5}, {1})).ok());
   EXPECT_FALSE(AnalyzeClauseBody(MakeGoals({-0.1}, {1})).ok());
+}
+
+/// Random chains for the split/accumulator checks: lengths 0..7, rates
+/// drawn from the edge values 0, 0.999 and 1 as well as the interior, and
+/// some zero costs.
+std::vector<std::vector<GoalStats>> EdgeChains(uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> up(0.0, 1.0);
+  std::uniform_real_distribution<double> uc(0.5, 50.0);
+  std::vector<std::vector<GoalStats>> out;
+  out.emplace_back();  // n = 0
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<GoalStats> goals(1 + rng() % 7);
+    for (auto& g : goals) {
+      switch (rng() % 5) {
+        case 0: g.success_prob = 0.0; break;
+        case 1: g.success_prob = 0.999; break;
+        case 2: g.success_prob = trial % 4 == 0 ? 1.0 : 0.999; break;
+        default: g.success_prob = up(rng);
+      }
+      g.cost = rng() % 6 == 0 ? 0.0 : uc(rng);
+    }
+    out.push_back(std::move(goals));
+  }
+  return out;
+}
+
+TEST(ChainTest, SingleSolutionChainIsTheFullAnalysisHalf) {
+  for (const auto& goals : EdgeChains(7)) {
+    auto full = AnalyzeClauseBody(goals);
+    auto single = AnalyzeSingleSolutionChain(goals);
+    // A p = 1 goal next to a p = 0 one bounces the walk forever: both
+    // fail alike on the singular fundamental matrix.
+    ASSERT_EQ(full.ok(), single.ok()) << "n=" << goals.size();
+    if (!single.ok()) continue;
+    EXPECT_EQ(single->success_prob, full->success_prob);
+    EXPECT_EQ(single->cost_single, full->cost_single);
+    EXPECT_EQ(single->visits_single, full->visits_single);
+  }
+}
+
+TEST(ChainTest, AccumulatorTracksClosedFormOnEveryPrefix) {
+  for (const auto& goals : EdgeChains(11)) {
+    AllSolutionsCostAccumulator acc;
+    EXPECT_EQ(acc.cost(), 0.0);
+    for (size_t k = 1; k <= goals.size(); ++k) {
+      acc.Push(goals[k - 1]);
+      std::span<const GoalStats> prefix(goals.data(), k);
+      EXPECT_EQ(acc.cost(), ClosedFormAllSolutionsCost(prefix))
+          << "prefix " << k;
+      // The sum over the closed-form visit counts, term by term.
+      std::vector<double> v = ClosedFormAllVisits(prefix);
+      double sum = 0.0;
+      for (size_t i = 0; i < k; ++i) {
+        if (std::isinf(v[i])) {
+          if (prefix[i].cost > 0.0) {
+            sum = std::numeric_limits<double>::infinity();
+            break;
+          }
+          continue;
+        }
+        sum += prefix[i].cost * v[i];
+      }
+      EXPECT_EQ(acc.cost(), sum) << "prefix " << k;
+    }
+  }
 }
 
 TEST(ChainTest, PrefixCostIsAdmissibleHeuristic) {
